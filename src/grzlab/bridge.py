@@ -12,7 +12,7 @@ classes all of this runs over.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import (
     HeytingAlgebra,
     HeytingHom,
+    derived,
     heyting_hom_search,
     join_irreducibles,
     join_irreducible_poset,
@@ -42,8 +43,13 @@ def open_algebra(M: ModalAlgebra) -> tuple[HeytingAlgebra, tuple[int, ...]]:
     """The Heyting algebra of open elements, with the mask correspondence.
 
     Element i of the result is opens[i].  Meets and joins restrict (opens
-    are closed under both); implication is box(¬a ∨ b).
+    are closed under both); implication is box(¬a ∨ b).  Both parts are
+    immutable and built once per M.
     """
+    return derived(M, _open_algebra)
+
+
+def _open_algebra(M: ModalAlgebra) -> tuple[HeytingAlgebra, tuple[int, ...]]:
     require_interior(M)
     opens = M.open_elements()
     index = {m: i for i, m in enumerate(opens)}
@@ -64,8 +70,14 @@ def boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
 
     Concretely the complex algebra of the join-irreducible poset; the
     embedding sends a to the set of join-irreducibles below it and its
-    image is exactly the opens.
+    image is exactly the opens.  B is built once per H; the embedding is a
+    fresh dict on every call.
     """
+    B, emb = derived(H, _boolean_extension)
+    return B, dict(emb)
+
+
+def _boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
     poset = join_irreducible_poset(H)
     if poset.size > ATOM_CAP:
         raise CapExceeded(
@@ -279,8 +291,14 @@ def finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, list[int]]:
     """An isomorphism M ≅ BO(M) plus a maximal chain of open elements.
 
     Only Grzegorczyk algebras qualify; for them both witnesses must exist,
-    so failure to find either is reported as an internal error.
+    so failure to find either is reported as an internal error.  The search
+    runs once per M; each call gets a fresh copy of the map and the chain.
     """
+    iso, chain = derived(M, _finite_blok_check)
+    return replace(iso, values=dict(iso.values)), list(chain)
+
+
+def _finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, tuple[int, ...]]:
     require_grz(M)
     O_alg, _ = open_algebra(M)
     B, _ = boolean_extension(O_alg)
@@ -303,7 +321,7 @@ def finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, list[int]]:
                 break
         else:
             raise InternalCheckError("no maximal all-open chain exists")
-    return isos[0], chain
+    return isos[0], tuple(chain)
 
 
 def sigma_catalog(K: AlgebraCatalog) -> AlgebraCatalog:

@@ -558,7 +558,7 @@ def main(argv=None) -> int:
         return 3
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception types shared across the workbench.
 
 The CLI maps these onto exit codes: InputError (and its subclasses) is a
-usage/input problem, CapExceeded is a refused computation, InternalCheckError
-is a bug in an algorithm whose output is supposed to be certified.
+usage/input problem (exit 2), CapExceeded is a refused computation (exit 3),
+InternalCheckError is a bug in an algorithm whose output is supposed to be
+certified (exit 4, so it never reads as a refuted property, which is exit 1).
 """
 
 from __future__ import annotations

@@ -24,16 +24,34 @@ ELEMENT_CAP = 4096
 MODES = ("any", "injective", "surjective", "iso")
 
 
-@dataclass
+def derived(obj, build):
+    """``build(obj)``, computed once per instance and kept in ``obj._derived``.
+
+    The store is keyed by the function, so each derived value has one slot.
+    A refusal raised by ``build`` is not stored: the next call raises again.
+    Callers hand out copies of mutable values, never the stored object.
+    """
+    store = obj._derived
+    try:
+        return store[build]
+    except KeyError:
+        value = store[build] = build(obj)
+        return value
+
+
+@dataclass(frozen=True)
 class FinitePoset:
     """A finite partially ordered set: ``leq[i, j]`` means i lies below j.
 
     Construction freezes the matrix but does not validate; ``validate``
     reports witnessed axiom failures so broken inputs can be examined.
+    The fields cannot be rebound and the matrix is read-only, so derived
+    values (the canonical key) are cached per instance.
     """
 
     size: int
     leq: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.array(self.leq, dtype=bool)
@@ -42,7 +60,7 @@ class FinitePoset:
                 f"leq matrix has shape {mat.shape}, expected {(self.size, self.size)}"
             )
         mat.setflags(write=False)
-        self.leq = mat
+        object.__setattr__(self, "leq", mat)
 
     def validate(self) -> list[tuple[str, tuple[int, ...]]]:
         """Witnessed violations of reflexivity, antisymmetry, transitivity."""
@@ -151,9 +169,13 @@ def downset_masks(poset: FinitePoset, cap: int = ELEMENT_CAP) -> list[int]:
     return sets
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeytingAlgebra:
-    """A finite Heyting algebra as meet/join/imp tables over 0..size-1."""
+    """A finite Heyting algebra as meet/join/imp tables over 0..size-1.
+
+    The fields cannot be rebound and the tables are read-only, so derived
+    values (order, join-irreducibles, B(H), ...) are cached per instance.
+    """
 
     size: int
     meet: np.ndarray
@@ -161,7 +183,7 @@ class HeytingAlgebra:
     imp: np.ndarray
     bot: int
     top: int
-    _leq: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("meet", "join", "imp"):
@@ -171,16 +193,12 @@ class HeytingAlgebra:
                     f"{name} table has shape {tab.shape}, expected {(self.size, self.size)}"
                 )
             tab.setflags(write=False)
-            setattr(self, name, tab)
+            object.__setattr__(self, name, tab)
 
     @property
     def leq(self) -> np.ndarray:
-        """Derived order: a <= b iff a meet b == a."""
-        if self._leq is None:
-            mat = self.meet == np.arange(self.size, dtype=np.int32)[:, None]
-            mat.setflags(write=False)
-            self._leq = mat
-        return self._leq
+        """Derived order: a <= b iff a meet b == a (read-only)."""
+        return derived(self, _meet_order)
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -219,6 +237,12 @@ class HeytingAlgebra:
         if bot >= size or top >= size:
             raise InputError("heyting record: bot/top out of range")
         return cls(size, tabs["meet"], tabs["join"], tabs["imp"], bot, top)
+
+
+def _meet_order(alg: HeytingAlgebra) -> np.ndarray:
+    mat = alg.meet == np.arange(alg.size, dtype=np.int32)[:, None]
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass
@@ -340,6 +364,10 @@ def downset_heyting(poset: FinitePoset, cap: int = ELEMENT_CAP) -> HeytingAlgebr
 
 def join_irreducibles(alg: HeytingAlgebra) -> list[int]:
     """Elements that are not bot and not a join of two strictly smaller ones."""
+    return list(derived(alg, _join_irreducibles))
+
+
+def _join_irreducibles(alg: HeytingAlgebra) -> tuple[int, ...]:
     out = []
     leq = alg.leq
     for a in range(alg.size):
@@ -348,18 +376,25 @@ def join_irreducibles(alg: HeytingAlgebra) -> list[int]:
         below = np.nonzero(leq[:, a] & (np.arange(alg.size) != a))[0]
         if below.size == 0 or not (alg.join[np.ix_(below, below)] == a).any():
             out.append(a)
-    return out
+    return tuple(out)
 
 
 def join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
     """The poset of join-irreducibles (points listed by ascending element index)."""
+    return derived(alg, _join_irreducible_poset)
+
+
+def _join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
     irr = join_irreducibles(alg)
-    sub = alg.leq[np.ix_(irr, irr)]
-    return FinitePoset(len(irr), sub)
+    return FinitePoset(len(irr), alg.leq[np.ix_(irr, irr)])
 
 
 def canonical_key(poset: FinitePoset) -> int:
     """Isomorphism-invariant key: minimum packed leq matrix over relabelings."""
+    return derived(poset, _canonical_key)
+
+
+def _canonical_key(poset: FinitePoset) -> int:
     n = poset.size
     if n > 7:
         raise CapExceeded("canonical key supports posets with at most 7 points")
@@ -481,15 +516,7 @@ def heyting_hom_search(
         (source.join, target.join),
         (source.imp, target.imp),
     ]
-    # Pairs whose op value exceeds both arguments get checked when the value
-    # is assigned, not when the arguments are.
-    deferred: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
-    for oi, (t1, _) in enumerate(ops):
-        for a in range(n1):
-            for b in range(n1):
-                r = int(t1[a, b])
-                if r > max(a, b):
-                    deferred[r].append((oi, a, b))
+    deferred = derived(source, _deferred_checks)
 
     img = [-1] * n1
     use_count = [0] * n2
@@ -542,6 +569,23 @@ def heyting_hom_search(
 
     search(0)
     return results
+
+
+def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per element r, the (op, a, b) with op(a, b) = r > max(a, b).
+
+    heyting_hom_search checks such a pair when r is assigned, not when its
+    arguments are.  Ops are numbered meet, join, imp.
+    """
+    n = source.size
+    deferred: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for oi, t1 in enumerate((source.meet, source.join, source.imp)):
+        for a in range(n):
+            for b in range(n):
+                r = int(t1[a, b])
+                if r > max(a, b):
+                    deferred[r].append((oi, a, b))
+    return tuple(tuple(d) for d in deferred)
 
 
 def are_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:

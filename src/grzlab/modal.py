@@ -13,12 +13,13 @@ two standard small algebras.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InputError, InternalCheckError
+from .finlat import derived
 
 ATOM_CAP = 12
 
@@ -26,12 +27,17 @@ MODES = ("any", "injective", "surjective", "iso")
 HOM_KINDS = ("boolean", "stable", "box_partial", "modal")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModalAlgebra:
-    """Powerset modal algebra: ``box[e]`` is the box of the mask ``e``."""
+    """Powerset modal algebra: ``box[e]`` is the box of the mask ``e``.
+
+    The fields cannot be rebound and the box table is read-only, so derived
+    values (axiom report, opens, O(M), ...) are cached per instance.
+    """
 
     atoms: int
     box: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.atoms < 0:
@@ -44,7 +50,7 @@ class ModalAlgebra:
                 f"box table has {tab.shape} entries, expected {1 << self.atoms}"
             )
         tab.setflags(write=False)
-        self.box = tab
+        object.__setattr__(self, "box", tab)
 
     @property
     def size(self) -> int:
@@ -68,8 +74,7 @@ class ModalAlgebra:
 
     def open_elements(self) -> list[int]:
         """Elements fixed by box, in increasing order."""
-        idx = np.arange(self.size, dtype=np.int64)
-        return [int(a) for a in idx[self.box == idx]]
+        return list(derived(self, _open_elements))
 
     def is_open(self, a: int) -> bool:
         return int(self.box[a]) == a
@@ -91,6 +96,11 @@ class ModalAlgebra:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < (1 << atoms):
                 raise InputError("modal record: box entries must be element masks")
         return cls(atoms, np.array(box, dtype=np.int64))
+
+
+def _open_elements(alg: ModalAlgebra) -> tuple[int, ...]:
+    idx = np.arange(alg.size, dtype=np.int64)
+    return tuple(int(a) for a in idx[alg.box == idx])
 
 
 def trivial_modal() -> ModalAlgebra:
@@ -161,6 +171,11 @@ def grz_violations(alg: ModalAlgebra) -> np.ndarray:
 
 def validate_modal(alg: ModalAlgebra) -> ModalReport:
     """Check K, the interior axioms, and the Grzegorczyk inequality."""
+    rep = derived(alg, _validate_modal)
+    return replace(rep, malformed=list(rep.malformed), violations=list(rep.violations))
+
+
+def _validate_modal(alg: ModalAlgebra) -> ModalReport:
     malformed: list[str] = []
     tab = alg.box
     if tab.size and (tab.min() < 0 or tab.max() > alg.top):
@@ -200,13 +215,13 @@ def validate_modal(alg: ModalAlgebra) -> ModalReport:
 
 
 def require_interior(alg: ModalAlgebra) -> None:
-    rep = validate_modal(alg)
+    rep = derived(alg, _validate_modal)
     if not rep.interior:
         raise InputError(f"not an interior algebra: {rep.malformed or rep.violations}")
 
 
 def require_grz(alg: ModalAlgebra) -> None:
-    rep = validate_modal(alg)
+    rep = derived(alg, _validate_modal)
     if not rep.grz:
         raise InputError(
             f"not a Grzegorczyk algebra: {rep.malformed or rep.violations}"

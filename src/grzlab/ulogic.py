@@ -564,8 +564,15 @@ def enumerate_rules(
     depth: int = 1,
     conclusions: int = 1,
 ) -> list[Rule]:
-    """Candidate rules over a bounded formula pool, smallest first."""
-    names = ("p", "q", "r", "s")[:max_vars]
+    """Candidate rules over a bounded formula pool, smallest first.
+
+    The pool uses the first ``max_vars`` of the variables p, q, r, s, so
+    ``max_vars`` must lie in 1..4.
+    """
+    names = ("p", "q", "r", "s")
+    if not 1 <= max_vars <= len(names):
+        raise InputError(f"max_vars must lie in 1..{len(names)}, got {max_vars}")
+    names = names[:max_vars]
     pool = enumerate_formulas(signature, names, depth)
     out = []
     for n_prem in range(max_premises + 1):

@@ -228,6 +228,39 @@ def test_completeness_report(capsys):
     assert doc["checked"] == 12 and doc["violations"] == []
 
 
+def test_completeness_report_rejects_max_vars_above_4(capsys, monkeypatch):
+    from grzlab import ulogic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formulas were enumerated")
+
+    monkeypatch.setattr(ulogic, "enumerate_formulas", refuse)
+    for bad in ("5", "0"):
+        code, out, err = run(
+            capsys, "completeness-report", "--heyting", "3", "--k", "1", "--max-vars", bad
+        )
+        assert code == 2 and out == ""
+        assert "max_vars must lie in 1..4" in err
+
+
+def test_internal_check_failure_exits_4(capsys, tmp_path, monkeypatch):
+    from grzlab import bridge
+    from grzlab.errors import InternalCheckError
+
+    def broken(M):
+        raise InternalCheckError("planted certificate failure")
+
+    monkeypatch.setattr(bridge, "finite_blok_check", broken)
+    doc = {
+        "catalog": [chain_heyting(3).to_record()],
+        "algebra": complex_algebra(chain_poset(2)).to_record(),
+    }
+    path = write_json(tmp_path / "in.json", doc)
+    code, out, err = run(capsys, "be-check", "--input", path)
+    assert code == 4 and out == ""
+    assert "internal check failed" in err and "planted certificate failure" in err
+
+
 def test_sigma_free(capsys):
     code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "2", "--k", "1")
     assert code == 0
