@@ -11,7 +11,6 @@ validated entries.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import pathlib
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .finlat import (
     canonical_key,
     downset_masks,
     downset_heyting,
+    permutation_table,
     poset_from_key,
     validate_heyting,
 )
@@ -137,8 +137,10 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
     """One poset per isomorphism class on n points, in canonical-key order.
 
     Built inductively: every n-point poset is an (n-1)-point poset with a
-    new maximal point placed over one of its downsets.  Each candidate is
-    replaced by the representative of its canonical key.
+    new maximal point placed over one of its downsets.  That step,
+    ``_extensions``, is shared with the size-bounded growth in
+    ``enumerate_heyting``; each candidate is replaced by the representative
+    of its canonical key, computed over the shared ``permutation_table``.
     """
     if n < 0:
         raise InputError("point count must be nonnegative")
@@ -146,15 +148,19 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
         raise InputError(f"poset enumeration supports at most {POSET_POINT_CAP} points")
     if n == 0:
         return (FinitePoset(0, np.zeros((0, 0), dtype=bool)),)
+    return _extensions(enumerate_posets(n - 1), n)
+
+
+def _extensions(bases, n: int) -> tuple[FinitePoset, ...]:
+    """The n-point posets made by adding a new maximal point over a downset
+    of one of the (n-1)-point ``bases``: one per canonical key, in key order."""
+    points = np.arange(n)
     keys: set[int] = set()
-    for base in enumerate_posets(n - 1):
+    for base in bases:
         for down in downset_masks(base):
             mat = np.zeros((n, n), dtype=bool)
             mat[: n - 1, : n - 1] = base.leq
-            mat[n - 1, n - 1] = True
-            for i in range(n - 1):
-                if (down >> i) & 1:
-                    mat[i, n - 1] = True
+            mat[:, n - 1] = ((down | 1 << (n - 1)) >> points) & 1
             keys.add(canonical_key(FinitePoset(n, mat)))
     return tuple(poset_from_key(n, key) for key in sorted(keys))
 
@@ -163,33 +169,13 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
 # Topologies and interior algebras
 
 
-def _permute_mask(mask: int, perm) -> int:
-    out = 0
-    for i, p in enumerate(perm):
-        if (mask >> i) & 1:
-            out |= 1 << p
-    return out
-
-
-def _canonical_family(family: int, k: int, perms) -> int:
-    best = family
-    for perm in perms:
-        moved = 0
-        rest = family
-        while rest:
-            s = (rest & -rest).bit_length() - 1
-            moved |= 1 << _permute_mask(s, perm)
-            rest &= rest - 1
-        if moved < best:
-            best = moved
-    return best
-
-
 @functools.lru_cache(maxsize=None)
 def enumerate_topologies(k: int) -> tuple[int, ...]:
     """Topologies on k points up to homeomorphism, as canonical family masks.
 
-    A family mask has bit s set when the subset mask s is open.
+    A family mask has bit s set when the subset mask s is open.  The
+    canonical mask is the least image of the family under the point
+    permutations of the shared ``permutation_table``.
     """
     if k < 0:
         raise InputError("point count must be nonnegative")
@@ -197,12 +183,13 @@ def enumerate_topologies(k: int) -> tuple[int, ...]:
         raise InputError(
             f"topology enumeration supports at most {TOPOLOGY_POINT_CAP} points"
         )
-    valid = kernels.topology_valid(k)
-    perms = list(itertools.permutations(range(k)))
-    reps: set[int] = set()
-    for family in np.nonzero(valid)[0]:
-        reps.add(_canonical_family(int(family), k, perms))
-    return tuple(sorted(reps))
+    families = np.nonzero(kernels.topology_valid(k))[0]
+    subsets = np.arange(1 << k)
+    members = (subsets >> np.arange(k)[:, None]) & 1  # [i, s]: point i lies in s
+    images = (1 << permutation_table(k)) @ members  # [p, s]: s moved by p
+    bits = (families[:, None] >> subsets) & 1
+    moved = bits @ (1 << images).T  # [f, p]: family f moved by p
+    return tuple(sorted({int(m) for m in moved.min(axis=1)}))
 
 
 def interior_from_topology(k: int, family: int) -> ModalAlgebra:
@@ -228,10 +215,16 @@ def enumerate_interior(k: int) -> list[ModalAlgebra]:
 def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
     """All Heyting algebras with at most max_size elements up to isomorphism.
 
-    Downset algebras of the poset representatives; distinct poset classes
-    give non-isomorphic algebras by Birkhoff duality, so no deduplication
-    is needed.  A poset on n points has at least n+1 downsets, which bounds
-    the poset sizes to scan.
+    Downset algebras of the poset representatives, ordered by size and then
+    by canonical key; distinct poset classes give non-isomorphic algebras by
+    Birkhoff duality, so no deduplication is needed.
+
+    Posets are grown one point at a time and pruned by downset count.
+    Removing a maximal point x from a poset P loses at least one downset
+    (the full set; the downsets without x are exactly those of P - x), so
+    every poset with at most max_size downsets is a one-point extension of
+    a poset with fewer than max_size.  Only those are extended, and only
+    candidates with at most max_size downsets are kept.
     """
     if max_size < 1:
         raise InputError("max_size must be at least 1")
@@ -240,13 +233,18 @@ def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
             f"max_size {max_size} needs posets beyond {POSET_POINT_CAP} points"
         )
     found: list[tuple[int, int, HeytingAlgebra]] = []
-    for n in range(0, max_size):
-        for poset in enumerate_posets(n):
+    level = enumerate_posets(0)
+    while level:
+        bases = []
+        for poset in level:
             try:
                 masks = downset_masks(poset, cap=max_size)
             except CapExceeded:
                 continue
             found.append((len(masks), canonical_key(poset), downset_heyting(poset)))
+            if len(masks) < max_size:
+                bases.append(poset)
+        level = _extensions(bases, level[0].size + 1)
     found.sort(key=lambda item: (item[0], item[1]))
     return [alg for _, _, alg in found]
 

@@ -11,6 +11,7 @@ its join-irreducible elements; ``downset_heyting`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -389,8 +390,23 @@ def _join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
     return FinitePoset(len(irr), alg.leq[np.ix_(irr, irr)])
 
 
+@functools.lru_cache(maxsize=None)
+def permutation_table(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as the rows of a read-only (n!, n) array.
+
+    Built on the first use of each n and shared by every canonical form:
+    poset keys here and topology family masks in ``catalog``.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms.setflags(write=False)
+    return perms
+
+
 def canonical_key(poset: FinitePoset) -> int:
-    """Isomorphism-invariant key: minimum packed leq matrix over relabelings."""
+    """Isomorphism-invariant key: minimum packed leq matrix over relabelings.
+
+    The relabelings are the rows of the shared ``permutation_table``.
+    """
     return derived(poset, _canonical_key)
 
 
@@ -400,8 +416,7 @@ def _canonical_key(poset: FinitePoset) -> int:
         raise CapExceeded("canonical key supports posets with at most 7 points")
     if n == 0:
         return 0
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return kernels.perm_min_key(poset.leq.astype(np.uint8), perms)
+    return kernels.perm_min_key(poset.leq.astype(np.uint8), permutation_table(n))
 
 
 def poset_from_key(size: int, key: int) -> FinitePoset:

@@ -10,6 +10,7 @@ counterexample, so results are reproducible down to the witness.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .finlat import HeytingAlgebra
 from .modal import ModalAlgebra
 
 EVAL_CAP = 10**7
+RULE_CAP = 100_000
 
 SIGNATURES = ("heyting", "modal")
 
@@ -567,13 +569,21 @@ def enumerate_rules(
     """Candidate rules over a bounded formula pool, smallest first.
 
     The pool uses the first ``max_vars`` of the variables p, q, r, s, so
-    ``max_vars`` must lie in 1..4.
+    ``max_vars`` must lie in 1..4.  More than ``RULE_CAP`` candidates are
+    refused before any rule is built.
     """
     names = ("p", "q", "r", "s")
     if not 1 <= max_vars <= len(names):
         raise InputError(f"max_vars must lie in 1..{len(names)}, got {max_vars}")
     names = names[:max_vars]
     pool = enumerate_formulas(signature, names, depth)
+    premise_sets = sum(math.comb(len(pool), k) for k in range(max_premises + 1))
+    count = premise_sets * math.comb(len(pool), conclusions)
+    if count > RULE_CAP:
+        raise CapExceeded(
+            f"{count} candidate rules requested, RULE_CAP is {RULE_CAP}; "
+            "lower max_vars, max_premises or depth"
+        )
     out = []
     for n_prem in range(max_premises + 1):
         for prem in itertools.combinations(pool, n_prem):

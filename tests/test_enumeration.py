@@ -1,0 +1,122 @@
+"""Size-bounded enumeration and the shared canonical forms against references.
+
+The references are deliberately naive: the unbounded poset enumeration
+filtered by downset count, a minimum over every relabeling computed in pure
+Python, and a per-permutation, per-subset canonicalisation of every labeled
+topology.  Random inputs come from fixed seeds.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from grzlab import catalog, kernels
+from grzlab.finlat import (
+    FinitePoset,
+    canonical_key,
+    downset_heyting,
+    downset_masks,
+    permutation_table,
+)
+
+
+def _brute_heyting(max_size):
+    found = []
+    for n in range(max_size):
+        for poset in catalog.enumerate_posets(n):
+            masks = downset_masks(poset)
+            if len(masks) <= max_size:
+                found.append((len(masks), canonical_key(poset), downset_heyting(poset)))
+    found.sort(key=lambda item: (item[0], item[1]))
+    return found
+
+
+def _tables(alg):
+    return (alg.size, alg.bot, alg.top, alg.meet.tobytes(), alg.join.tobytes(), alg.imp.tobytes())
+
+
+@pytest.mark.parametrize("max_size", range(1, 8))
+def test_bounded_heyting_matches_filtered_posets(max_size):
+    want = _brute_heyting(max_size)
+    got = catalog.enumerate_heyting(max_size)
+    assert [_tables(alg) for alg in got] == [_tables(alg) for _, _, alg in want]
+
+
+def test_bounded_heyting_never_enumerates_all_posets(monkeypatch):
+    full = catalog.enumerate_posets
+
+    def only_the_empty_poset(n):
+        assert n == 0, f"enumerate_posets({n}) was called"
+        return full(0)
+
+    monkeypatch.setattr(catalog, "enumerate_posets", only_the_empty_poset)
+    by_size = [0] * 9
+    for alg in catalog.enumerate_heyting(8):
+        by_size[alg.size] += 1
+    # OEIS A006966: Heyting algebras (distributive lattices) on 1..8 elements
+    assert by_size[1:] == [1, 1, 1, 2, 3, 5, 8, 15]
+
+
+def _random_poset(rng, n):
+    """A random order on n points, relabeled at random."""
+    rel = np.triu(rng.random((n, n)) < 0.4, 1) | np.eye(n, dtype=bool)
+    for _ in range(n):
+        rel = (rel.astype(int) @ rel.astype(int)) > 0
+    perm = rng.permutation(n)
+    return FinitePoset(n, rel[np.ix_(perm, perm)])
+
+
+def _min_over_relabelings(poset):
+    n = poset.size
+    leq = poset.leq.tolist()
+    best = None
+    for perm in itertools.permutations(range(n)):
+        key = 0
+        for i in range(n):
+            for j in range(n):
+                key = (key << 1) | int(leq[perm[i]][perm[j]])
+        best = key if best is None else min(best, key)
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_key_matches_all_relabelings(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(8):
+        poset = _random_poset(rng, n)
+        assert poset.validate() == []
+        assert canonical_key(poset) == _min_over_relabelings(poset)
+
+
+def _canonical_family(family, k):
+    best = family
+    for perm in itertools.permutations(range(k)):
+        moved = 0
+        for s in range(1 << k):
+            if (family >> s) & 1:
+                image = 0
+                for i, p in enumerate(perm):
+                    if (s >> i) & 1:
+                        image |= 1 << p
+                moved |= 1 << image
+        best = min(best, moved)
+    return best
+
+
+def test_topologies_match_pure_python_canonical_forms():
+    for k in range(catalog.TOPOLOGY_POINT_CAP + 1):
+        labeled = [int(f) for f in np.nonzero(kernels.topology_valid(k))[0]]
+        # OEIS A000798: labeled topologies on 0..4 points
+        assert len(labeled) == [1, 1, 4, 29, 355][k]
+        want = tuple(sorted({_canonical_family(f, k) for f in labeled}))
+        assert catalog.enumerate_topologies(k) == want
+
+
+def test_permutation_table_is_shared_and_read_only():
+    table = permutation_table(4)
+    assert table is permutation_table(4)
+    assert table.shape == (24, 4)
+    assert [tuple(row) for row in table] == list(itertools.permutations(range(4)))
+    with pytest.raises(ValueError):
+        table[0, 0] = 3
