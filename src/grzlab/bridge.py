@@ -21,6 +21,7 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import (
     HeytingAlgebra,
     HeytingHom,
+    _heyting_hom_search,
     derived,
     heyting_hom_search,
     join_irreducibles,
@@ -31,6 +32,7 @@ from .modal import (
     BooleanSubalgebra,
     Homomorphism,
     ModalAlgebra,
+    _hom_search,
     complex_algebra,
     generated_subalgebra,
     hom_search,
@@ -290,9 +292,13 @@ def box_hom_to_BO(M: ModalAlgebra, A: BooleanSubalgebra) -> Homomorphism:
 def finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, list[int]]:
     """An isomorphism M ≅ BO(M) plus a maximal chain of open elements.
 
-    Only Grzegorczyk algebras qualify; for them both witnesses must exist,
-    so failure to find either is reported as an internal error.  The search
-    runs once per M; each call gets a fresh copy of the map and the chain.
+    Only Grzegorczyk algebras qualify.  The map is built, not searched for:
+    a finite Grz algebra is the complex algebra of a poset, so atom x goes
+    to the atom of BO(M) indexed by the least open containing x, which is
+    join-irreducible in O(M).  Its verify(), injectivity and surjectivity
+    are its certificate; a failure there, or a missing chain, is reported
+    as an internal error.  Both are built once per M; each call gets a
+    fresh copy of the map and the chain.
     """
     iso, chain = derived(M, _finite_blok_check)
     return replace(iso, values=dict(iso.values)), list(chain)
@@ -300,15 +306,27 @@ def finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, list[int]]:
 
 def _finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, tuple[int, ...]]:
     require_grz(M)
-    O_alg, _ = open_algebra(M)
+    O_alg, opens = open_algebra(M)
     B, _ = boolean_extension(O_alg)
     if B.atoms != M.atoms:
         raise InternalCheckError(
             f"BO(M) has {B.atoms} atoms where M has {M.atoms}"
         )
-    isos = hom_search(M, B, kind="modal", mode="iso")
-    if not isos:
-        raise InternalCheckError("no isomorphism between M and BO(M) found")
+    atom_of = {opens[i]: j for j, i in enumerate(join_irreducibles(O_alg))}
+    table = [0]
+    for x in range(M.atoms):
+        least = M.top
+        for u in opens:
+            if (u >> x) & 1:
+                least &= u
+        if least not in atom_of:
+            raise InternalCheckError(
+                f"the least open containing atom {x} is not join-irreducible"
+            )
+        table += [v | (1 << atom_of[least]) for v in table]
+    iso = Homomorphism(M, B, "modal", dict(enumerate(table)))
+    if iso.verify() or not (iso.injective and iso.surjective):
+        raise InternalCheckError("the built map M -> BO(M) is not an isomorphism")
 
     chain = [0]
     u = 0
@@ -321,7 +339,7 @@ def _finite_blok_check(M: ModalAlgebra) -> tuple[Homomorphism, tuple[int, ...]]:
                 break
         else:
             raise InternalCheckError("no maximal all-open chain exists")
-    return isos[0], tuple(chain)
+    return iso, tuple(chain)
 
 
 def sigma_catalog(K: AlgebraCatalog) -> AlgebraCatalog:
@@ -356,12 +374,12 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
 
     if mode == "universal":
         for i, A in enumerate(K.members):
-            found = _injections(F, A)
-            if found:
+            found = _first_injection(F, A)
+            if found is not None:
                 return {
                     "holds": True,
                     "mode": mode,
-                    "certificate": {"member": i, "map": found[0]},
+                    "certificate": {"member": i, "map": found},
                 }
         return {"holds": False, "mode": mode, "certificate": None}
 
@@ -424,12 +442,13 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
     return {"holds": holds, "mode": mode, "certificate": cert}
 
 
-def _injections(F, A) -> list[list[int]]:
+def _first_injection(F, A) -> list[int] | None:
+    """The table of the first embedding of F into A in table order, if any."""
     if isinstance(F, HeytingAlgebra):
-        homs = heyting_hom_search(F, A, mode="injective")
-        return [list(h.table) for h in homs[:1]]
-    homs = hom_search(F, A, kind="modal", mode="injective")
-    return [h.table() for h in homs[:1]]
+        h = next(_heyting_hom_search(F, A, mode="injective"), None)
+        return None if h is None else list(h.table)
+    h = next(_hom_search(F, A, mode="injective"), None)
+    return None if h is None else h.table()
 
 
 def _homs(F, A) -> list[list[int]]:
@@ -443,8 +462,11 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
 
     Membership of M in the universal class of the extended catalog, of the
     opens of M in the class of K, and a direct embedding of M into some
-    B(H) assembled from the finite reconstruction.  Disagreement would
-    refute the correspondence at this scale and raises.
+    B(H) assembled from the finite reconstruction.  The third route lifts
+    the second route's certificate (member i and its embedding O(M) → H)
+    to B(H) and composes it with M ≅ BO(M); the assembled map must pass
+    its own checks.  Disagreement would refute the correspondence at this
+    scale and raises.
     """
     require_grz(M)
     if K.kind != "heyting":
@@ -455,13 +477,10 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
     t2 = class_membership(O_alg, K, "universal")
 
     t3: dict = {"holds": False, "certificate": None}
-    for i, H in enumerate(K.members):
-        embeds = heyting_hom_search(O_alg, H, mode="injective")
-        if not embeds:
-            continue
-        f0 = embeds[0]
-        BH, embH = boolean_extension(H)
-        lift = extend_hom(O_alg, BH, {a: embH[f0(a)] for a in range(O_alg.size)})
+    if t2["holds"]:
+        i, f0 = t2["certificate"]["member"], t2["certificate"]["map"]
+        BH, embH = boolean_extension(K.members[i])
+        lift = extend_hom(O_alg, BH, {a: embH[f0[a]] for a in range(O_alg.size)})
         m_iso, _ = finite_blok_check(M)
         total = Homomorphism(
             M, BH, "modal",
@@ -470,7 +489,6 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
         if total.verify() or not total.injective:
             raise InternalCheckError("assembled embedding fails its checks")
         t3 = {"holds": True, "certificate": {"member": i, "map": total.table()}}
-        break
 
     answers = (t1["holds"], t2["holds"], t3["holds"])
     if len(set(answers)) != 1:

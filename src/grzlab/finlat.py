@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -505,25 +506,35 @@ def heyting_hom_search(
 
     ``constraints`` pins images of particular elements; ``mode`` restricts to
     injective, surjective, or bijective maps.  The search assigns images in
-    element order with ascending candidate values, so the result list is in
-    lexicographic order of the full table and independent of anything but
+    element order with ascending candidate values, so it generates the maps
+    in lexicographic order of the full table, independent of anything but
     the inputs.
     """
+    return list(_heyting_hom_search(source, target, constraints, mode))
+
+
+def _heyting_hom_search(
+    source: HeytingAlgebra,
+    target: HeytingAlgebra,
+    constraints: dict[int, int] | None = None,
+    mode: str = "any",
+) -> Iterator[HeytingHom]:
+    """heyting_hom_search's maps one at a time, lazily, in table order."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}")
     n1, n2 = source.size, target.size
     if mode == "iso" and n1 != n2:
-        return []
+        return
     forced = {source.bot: target.bot}
     # A one-element source admits no map into a larger target.
     if forced.get(source.top, target.top) != target.top:
-        return []
+        return
     forced[source.top] = target.top
     for k, v in (constraints or {}).items():
         if not (0 <= k < n1 and 0 <= v < n2):
             raise InputError("constraint indices out of range")
         if forced.get(k, v) != v:
-            return []
+            return
         forced[k] = v
 
     ops = [
@@ -536,7 +547,6 @@ def heyting_hom_search(
     img = [-1] * n1
     use_count = [0] * n2
     distinct = 0
-    results: list[HeytingHom] = []
     injective = mode in ("injective", "iso")
     surjective = mode in ("surjective", "iso")
 
@@ -558,11 +568,11 @@ def heyting_hom_search(
         finally:
             img[i] = -1
 
-    def search(i: int) -> None:
+    def search(i: int):
         nonlocal distinct
         if i == n1:
             if not surjective or distinct == n2:
-                results.append(HeytingHom(source, target, tuple(img)))
+                yield HeytingHom(source, target, tuple(img))
             return
         if surjective and n2 - distinct > n1 - i:
             return
@@ -576,14 +586,13 @@ def heyting_hom_search(
             use_count[v] += 1
             if use_count[v] == 1:
                 distinct += 1
-            search(i + 1)
+            yield from search(i + 1)
             use_count[v] -= 1
             if use_count[v] == 0:
                 distinct -= 1
             img[i] = -1
 
-    search(0)
-    return results
+    yield from search(0)
 
 
 def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:

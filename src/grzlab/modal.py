@@ -13,6 +13,7 @@ two standard small algebras.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -476,25 +477,32 @@ def subalgebra_as_algebra(
     if not sub.box_closed:
         raise InputError("subalgebra is not box closed")
     blocks = list(sub.blocks)
-    k = len(blocks)
+    enc = {e: _encode(e, blocks) for e in sub.elements}
+    return _on_blocks(sub.algebra, blocks), enc, blocks
 
-    def encode(e: int) -> int:
-        out = 0
-        for t, b in enumerate(blocks):
-            if e & b == b:
-                out |= 1 << t
-        return out
 
-    box = np.zeros(1 << k, dtype=np.int64)
-    for t in range(1 << k):
+def _encode(e: int, blocks) -> int:
+    """The blocks inside e, as a mask over block positions."""
+    out = 0
+    for t, b in enumerate(blocks):
+        if e & b == b:
+            out |= 1 << t
+    return out
+
+
+def _on_blocks(alg: ModalAlgebra, blocks) -> ModalAlgebra:
+    """The algebra whose atoms are the given disjoint blocks of alg.
+
+    Box must send every union of the blocks to a union of them.
+    """
+    box = np.zeros(1 << len(blocks), dtype=np.int64)
+    for t in range(1 << len(blocks)):
         e = 0
         for pos, b in enumerate(blocks):
             if (t >> pos) & 1:
                 e |= b
-        box[t] = encode(int(sub.algebra.box[e]))
-    alg = ModalAlgebra(k, box)
-    enc = {e: encode(e) for e in sub.elements}
-    return alg, enc, blocks
+        box[t] = _encode(int(alg.box[e]), blocks)
+    return ModalAlgebra(len(blocks), box)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +625,31 @@ def hom_search(
 
     Boolean homomorphisms out of a powerset (sub)algebra correspond to
     functions from the target's atoms to the source's blocks: f(S) collects
-    the target atoms whose block lands inside S.  The search enumerates
-    those functions, prunes with the constraints per target atom, and then
-    filters by the box condition of the requested kind.  Injectivity of f
-    is surjectivity of the atom map and vice versa.
+    the target atoms whose block lands inside S.  Such an f is fixed by the
+    images of the blocks, which are disjoint and cover the target.  Blocks
+    are sorted, so the first domain element on which two maps differ is the
+    first block whose images differ: the search assigns block images block
+    by block in ascending order, which generates the maps in value-table
+    order without sorting.  The constraints prune the blocks each target
+    atom may go to; each complete map is then filtered by the box condition
+    of the requested kind.  Injectivity of f is surjectivity of the atom
+    map and vice versa.
     """
+    return list(
+        _hom_search(source, target, kind, constraints, mode, domain, max_candidates)
+    )
+
+
+def _hom_search(
+    source: ModalAlgebra,
+    target: ModalAlgebra,
+    kind: str = "modal",
+    constraints: dict[int, int] | None = None,
+    mode: str = "any",
+    domain: BooleanSubalgebra | None = None,
+    max_candidates: int = 10**7,
+) -> Iterator[Homomorphism]:
+    """hom_search's maps one at a time, lazily, in value-table order."""
     if kind not in HOM_KINDS:
         raise InputError(f"kind must be one of {HOM_KINDS}")
     if mode not in MODES:
@@ -661,43 +689,64 @@ def hom_search(
                 f"homomorphism search space exceeds {max_candidates} candidates"
             )
 
-    results: list[Homomorphism] = []
-    for h in itertools.product(*allowed):
-        if mode in ("injective", "iso") and len(set(h)) != nb:
-            continue
-        if mode in ("surjective", "iso") and len(set(h)) != ka:
-            continue
-        values: dict[int, int] = {}
-        for e in dom_elements:
-            img = 0
-            for y in range(ka):
-                if blocks[h[y]] & e == blocks[h[y]]:
-                    img |= 1 << y
-            values[e] = img
+    # may[i]: target atoms block i may receive; later[i]: those some block
+    # from i on may receive, so atoms outside later[i + 1] must be placed by i.
+    may = [0] * nb
+    for y, opts in enumerate(allowed):
+        for bi in opts:
+            may[bi] |= 1 << y
+    later = [0] * (nb + 1)
+    for i in range(nb - 1, -1, -1):
+        later[i] = later[i + 1] | may[i]
+    injective = mode in ("injective", "iso")
+    surjective = mode in ("surjective", "iso")
+
+    # Element t of the domain (ascending) is the union of the blocks at the
+    # set bits of t; box_at[t] is the position of its box in the domain, or
+    # -1 where a box_partial domain does not contain it.
+    position = {e: t for t, e in enumerate(dom_elements)}
+    box_at = [position.get(int(source.box[e]), -1) for e in dom_elements]
+    tbox = target.box.tolist()
+
+    def box_ok(val: list[int]) -> bool:
         if kind == "stable":
-            if any(
-                values[int(source.box[e])] & ~int(target.box[values[e]])
-                for e in dom_elements
+            return not any(val[b] & ~tbox[v] for b, v in zip(box_at, val))
+        if kind == "modal":
+            return all(val[b] == tbox[v] for b, v in zip(box_at, val))
+        if kind == "box_partial":
+            return all(b < 0 or val[b] == tbox[v] for b, v in zip(box_at, val))
+        return True
+
+    images = [0] * nb
+
+    def assign(i: int, rest: int):
+        if i == nb:
+            if rest:  # no blocks at all, and target atoms left to place
+                return
+            val = [0]
+            for img in images:
+                val += [v | img for v in val]
+            if box_ok(val):
+                yield Homomorphism(
+                    source, target, kind, dict(zip(dom_elements, val)), domain
+                )
+            return
+        avail = rest & may[i]
+        img = 0
+        while True:
+            left = rest ^ img
+            if (
+                not left & ~later[i + 1]
+                and not (injective and img == 0)
+                and not (surjective and img & (img - 1))
             ):
-                continue
-        elif kind == "modal":
-            if any(
-                values[int(source.box[e])] != int(target.box[values[e]])
-                for e in dom_elements
-            ):
-                continue
-        elif kind == "box_partial":
-            bad = False
-            for e in dom_elements:
-                be = int(source.box[e])
-                if be in dom_set and values[be] != int(target.box[values[e]]):
-                    bad = True
-                    break
-            if bad:
-                continue
-        results.append(Homomorphism(source, target, kind, values, domain))
-    results.sort(key=lambda hom: hom.table())
-    return results
+                images[i] = img
+                yield from assign(i + 1, left)
+            if img == avail:
+                return
+            img = (img - avail) & avail  # next subset of avail, ascending
+
+    yield from assign(0, target.top)
 
 
 def are_isomorphic(a: ModalAlgebra, b: ModalAlgebra) -> bool:
@@ -860,6 +909,28 @@ class BlokWitness:
         return out
 
 
+def _standard_in_one_generated(alg: ModalAlgebra) -> bool:
+    """Whether some ⟨a⟩ has a quotient isomorphic to S2 or S12.
+
+    The quotient of ⟨a⟩ by the open filter above an open u is ⟨a⟩ relative
+    to u (box(x ∧ u) = box x ∧ u), the algebra on the blocks of ⟨a⟩ under
+    u; only the opens of two or three blocks can give a standard algebra.
+    """
+    standards = (make_standard("S2"), make_standard("S12"))
+    seen = set()
+    for a in range(alg.size):
+        sub = generated_subalgebra(alg, [a], "modal")
+        if sub.blocks in seen:
+            continue
+        seen.add(sub.blocks)
+        for std in standards:
+            for part in itertools.combinations(sub.blocks, std.atoms):
+                u = sum(part)  # the blocks are disjoint
+                if alg.is_open(u) and are_isomorphic(_on_blocks(alg, part), std):
+                    return True
+    return False
+
+
 @dataclass
 class BlokResult:
     is_grz: bool
@@ -867,33 +938,19 @@ class BlokResult:
 
 
 def blok_characterization(alg: ModalAlgebra) -> BlokResult:
-    """Decide Grz by brute subalgebra/quotient search; witness by the proof route.
+    """Decide Grz over the 1-generated subalgebras; witness by the proof route.
 
-    The boolean answer scans every box-closed subalgebra and every open
-    filter quotient for a copy of one of the two standard algebras, which
-    keeps it independent of the inequality scan in validate_modal.  The
-    witness, when one is due, is built the constructive way: quotient by a
-    maximal open filter, generate from the image of the least failing
-    element, pull back.
+    The boolean answer looks for S2 or S12 among the open-filter quotients
+    of the modal subalgebras ⟨a⟩ generated by one element a, which keeps it
+    independent of the inequality scan in validate_modal.  That suffices
+    for all of SQ(M): both standard algebras are generated by one element,
+    and if N ≤ M has a quotient q: N → N/F ≅ S with q(a) generating S, then
+    ⟨a⟩/(F ∩ ⟨a⟩) ≅ S.  The witness, when one is due, is built the
+    constructive way: quotient by a maximal open filter, generate from the
+    image of the least failing element, pull back.
     """
     require_interior(alg)
-    s2 = make_standard("S2")
-    s12 = make_standard("S12")
-
-    found_bad = False
-    for sub in all_modal_subalgebras(alg):
-        sub_alg, _, _ = subalgebra_as_algebra(sub)
-        for filt in open_filters(sub_alg):
-            q, _ = quotient(sub_alg, filt)
-            if q.atoms == 2 and are_isomorphic(q, s2):
-                found_bad = True
-                break
-            if q.atoms == 3 and are_isomorphic(q, s12):
-                found_bad = True
-                break
-        if found_bad:
-            break
-    if not found_bad:
+    if not _standard_in_one_generated(alg):
         return BlokResult(True, None)
 
     viol = grz_violations(alg)

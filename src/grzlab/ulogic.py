@@ -539,12 +539,30 @@ def eval_formula(algebra, f: Formula, env: dict[str, int]) -> int:
 
 
 def enumerate_formulas(signature: str, variables: tuple[str, ...], depth: int) -> list[Formula]:
-    """All formulas to the given connective depth, deterministically ordered."""
+    """All formulas to the given connective depth, deterministically ordered.
+
+    Round r adds exactly the formulas of depth r, all of them new: each
+    unary connective on each formula of depth r - 1, and each binary one on
+    each ordered pair with an argument of depth r - 1.  So the pool size
+    after a round is known before the round is built, and a round that
+    would take it past ``RULE_CAP`` is refused: every candidate rule draws
+    its conclusion from the pool, so such a pool could only feed more than
+    ``RULE_CAP`` candidates.
+    """
     if signature not in SIGNATURES:
         raise InputError(f"signature must be one of {SIGNATURES}")
     pool: list[Formula] = [Var(v) for v in variables] + [Const("bot"), Const("top")]
     seen = set(pool)
-    for _ in range(depth):
+    unary = 2 if signature == "modal" else 1
+    fresh = len(pool)
+    for d in range(1, depth + 1):
+        older = len(pool) - fresh
+        size = len(pool) + unary * fresh + 3 * (len(pool) ** 2 - older**2)
+        if size > RULE_CAP:
+            raise CapExceeded(
+                f"{size} formulas at depth {d} requested, RULE_CAP is {RULE_CAP}; "
+                "lower depth or max_vars"
+            )
         prev = list(pool)
         for f in prev:
             new: list[Formula] = [Not(f)]
@@ -556,6 +574,7 @@ def enumerate_formulas(signature: str, variables: tuple[str, ...], depth: int) -
                 if cand not in seen:
                     seen.add(cand)
                     pool.append(cand)
+        fresh = len(pool) - len(prev)
     return pool
 
 

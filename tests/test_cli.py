@@ -257,6 +257,21 @@ def test_completeness_report_refuses_over_rule_cap(capsys, monkeypatch):
     assert "310760" in err and f"RULE_CAP is {ulogic.RULE_CAP}" in err
 
 
+def test_completeness_report_refuses_depth_3_before_building_it(capsys, monkeypatch):
+    from grzlab import ulogic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(ulogic, "Rule", refuse)
+    code, out, err = run(
+        capsys, "completeness-report", "--heyting", "3", "--k", "1", "--depth", "3"
+    )
+    assert code == 3 and out == ""
+    assert "268938544 formulas at depth 3" in err
+    assert f"RULE_CAP is {ulogic.RULE_CAP}" in err
+
+
 def test_internal_check_failure_exits_4(capsys, tmp_path, monkeypatch):
     from grzlab import bridge
     from grzlab.errors import InternalCheckError

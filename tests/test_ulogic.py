@@ -3,6 +3,7 @@
 import pytest
 
 from grzlab.bridge import boolean_extension
+from grzlab import ulogic
 from grzlab.catalog import heyting_catalog
 from grzlab.errors import CapExceeded, InputError, ParseError
 from grzlab.finlat import chain_heyting, trivial_heyting
@@ -193,6 +194,17 @@ def test_enumerate_formulas_counts():
     assert len(enumerate_formulas("modal", ("p", "q"), 1)) == 60
     with pytest.raises(InputError):
         enumerate_formulas("lattice", ("p",), 1)
+
+
+@pytest.mark.parametrize("signature, size", [("heyting", 9468), ("modal", 10924)])
+def test_enumerate_formulas_refuses_a_round_past_rule_cap(monkeypatch, signature, size):
+    # The size a round would reach is computed before the round is built,
+    # exactly: a cap equal to it passes, one below it refuses.
+    monkeypatch.setattr(ulogic, "RULE_CAP", size)
+    assert len(enumerate_formulas(signature, ("p", "q"), 2)) == size
+    monkeypatch.setattr(ulogic, "RULE_CAP", size - 1)
+    with pytest.raises(CapExceeded, match=f"{size} formulas at depth 2"):
+        enumerate_formulas(signature, ("p", "q"), 2)
 
 
 def test_enumerate_rules_counts():
