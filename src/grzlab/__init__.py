@@ -52,7 +52,6 @@ from .freealg import (
     verify_ump,
     weakly_admissible_k,
 )
-from .kernels import backend_name
 from .modal import (
     ATOM_CAP,
     BlokResult,
@@ -85,6 +84,12 @@ from .ulogic import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the evaluation backend, recorded by perfbench: always "numpy"."""
+    return "numpy"
+
 
 __all__ = [
     "ATOM_CAP",

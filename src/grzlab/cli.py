@@ -411,9 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="compact single-line JSON output"
     )
-    common.add_argument(
-        "--threads", type=int, default=0, help="worker threads for the kernels"
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, handler, help_text, parents=(common,)):
@@ -524,21 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_threads(n: int) -> None:
-    if n <= 0:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(n)
-    except Exception:
-        pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -34,6 +34,7 @@ from .ulogic import (
     eval_formula,
     eval_sentence,
     sentence_to_json,
+    term_ops,
 )
 
 COORD_CAP = 64
@@ -51,101 +52,81 @@ class FreeAlgebra:
     k: int
 
 
-def _close_heyting(members, k, element_cap):
-    coords = [
-        (A, alpha)
-        for A in members
-        for alpha in itertools.product(range(A.size), repeat=k)
-    ]
-    bot_t = tuple(A.bot for A, _ in coords)
-    top_t = tuple(A.top for A, _ in coords)
-    elems: list[tuple] = []
-    terms: list[Formula] = []
-    seen: dict[tuple, int] = {}
+def _rows_to_keys(rows) -> list[bytes]:
+    """One dictionary key per coordinate row (the last axis)."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    width = 8 * rows.shape[-1]
+    buf = rows.tobytes()
+    return [buf[j : j + width] for j in range(0, len(buf), width)]
 
-    def intern(t, term):
-        if t not in seen:
-            seen[t] = len(elems)
-            elems.append(t)
-            terms.append(term)
 
-    intern(bot_t, Const("bot"))
-    intern(top_t, Const("top"))
-    for i in range(k):
-        intern(tuple(alpha[i] for _, alpha in coords), Var(f"x{i}"))
+def _closure(K: AlgebraCatalog, k: int, element_cap: int):
+    """Semi-naive closure of bot, top and the k generators in the coordinate product.
 
-    ops = (
-        ("meet", And, [A.meet for A, _ in coords]),
-        ("join", Or, [A.join for A, _ in coords]),
-        ("imp", Imp, [A.imp for A, _ in coords]),
+    The coordinates are all (member, assignment) pairs, member by member,
+    and ``ops`` applies an operation at all of them at once.  Elements are
+    interned in the order of the naive closure, which in every round
+    applies the operations to all pairs of the elements present at its
+    start: Heyting op by op (all meets, then all joins, then all imps),
+    modal element by element (~ and box) and then pair by pair (& and |).
+    Pairs of elements already present a round earlier give only elements
+    interned then, so each round pairs just the new elements with all
+    elements.  Returns the interned row keys and terms, the key index, the
+    ops, and the rows of bot, top and the generators.
+    """
+    counts = [A.size**k for A in K.members]
+    ops = term_ops(K.members, counts)
+    local = np.concatenate(
+        [
+            np.array(list(itertools.product(range(A.size), repeat=k)), dtype=np.int64)
+            .reshape(A.size**k, k)
+            for A in K.members
+        ]
     )
-    while True:
-        n0 = len(elems)
-        for _, ctor, tabs in ops:
-            for i in range(n0):
-                for j in range(n0):
-                    t = tuple(
-                        int(tab[elems[i][c], elems[j][c]]) for c, tab in enumerate(tabs)
-                    )
-                    intern(t, ctor(terms[i], terms[j]))
-        if len(elems) > element_cap:
-            raise CapExceeded(f"free algebra closure exceeds {element_cap} elements")
-        if len(elems) == n0:
-            break
-    return elems, terms, bot_t, top_t, coords
-
-
-def _close_modal(members, k, element_cap):
-    coords = [
-        (A, alpha)
-        for A in members
-        for alpha in itertools.product(range(A.size), repeat=k)
-    ]
-    bot_t = tuple(0 for _ in coords)
-    top_t = tuple(A.top for A, _ in coords)
-    elems: list[tuple] = []
-    terms: list[Formula] = []
-    seen: dict[tuple, int] = {}
-
-    def intern(t, term):
-        if t not in seen:
-            seen[t] = len(elems)
-            elems.append(t)
-            terms.append(term)
-
-    intern(bot_t, Const("bot"))
-    intern(top_t, Const("top"))
+    fixed = np.zeros((2 + k, local.shape[0]), dtype=np.int64)
+    fixed[0] += ops.bot
+    fixed[1] += ops.top
     for i in range(k):
-        intern(tuple(alpha[i] for _, alpha in coords), Var(f"x{i}"))
+        fixed[2 + i] = ops.embed(local[:, i])
 
-    while True:
-        n0 = len(elems)
-        for i in range(n0):
-            t = elems[i]
+    index: dict[bytes, int] = {}
+    keys: list[bytes] = []
+    terms: list[Formula] = []
+
+    def intern(rows, make_term):
+        for j, key in enumerate(_rows_to_keys(rows)):
+            if key not in index:
+                if len(keys) == element_cap:
+                    raise CapExceeded(
+                        f"free algebra closure exceeds {element_cap} elements "
+                        f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
+                    )
+                index[key] = len(keys)
+                keys.append(key)
+                terms.append(make_term(j))
+
+    intern(fixed, lambda j: Const("bot") if j == 0 else Const("top") if j == 1 else Var(f"x{j - 2}"))
+    done = 0  # every pair of the first `done` elements has been applied
+    while len(keys) > done:
+        n0 = len(keys)
+        E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n0, -1)
+        if K.kind == "heyting":
+            for op, ctor in ((ops.meet, And), (ops.join, Or), (ops.imp, Imp)):
+                for i in range(n0):
+                    lo = done if i < done else 0
+                    intern(op(E[i], E[lo:]), lambda j, i=i, lo=lo, c=ctor: c(terms[i], terms[lo + j]))
+        else:
+            new = E[done:]
             intern(
-                tuple(A.top ^ t[c] for c, (A, _) in enumerate(coords)),
-                Not(terms[i]),
+                np.stack([ops.neg(new), ops.box(new)], axis=1),
+                lambda j, base=done: (Not, Box)[j % 2](terms[base + j // 2]),
             )
-            intern(
-                tuple(int(A.box[t[c]]) for c, (A, _) in enumerate(coords)),
-                Box(terms[i]),
-            )
-        for i in range(n0):
-            for j in range(n0):
-                ti, tj = elems[i], elems[j]
-                intern(
-                    tuple(ti[c] & tj[c] for c in range(len(coords))),
-                    And(terms[i], terms[j]),
-                )
-                intern(
-                    tuple(ti[c] | tj[c] for c in range(len(coords))),
-                    Or(terms[i], terms[j]),
-                )
-        if len(elems) > element_cap:
-            raise CapExceeded(f"free algebra closure exceeds {element_cap} elements")
-        if len(elems) == n0:
-            break
-    return elems, terms, bot_t, top_t, coords
+            for i in range(n0):
+                lo = done if i < done else 0
+                pairs = np.stack([ops.meet(E[i], E[lo:]), ops.join(E[i], E[lo:])], axis=1)
+                intern(pairs, lambda j, i=i, lo=lo: (And, Or)[j % 2](terms[i], terms[lo + j // 2]))
+        done = n0
+    return keys, terms, index, ops, fixed
 
 
 def free_algebra(
@@ -157,8 +138,10 @@ def free_algebra(
     """The free algebra on k generators for the class the catalog generates.
 
     Subalgebra of the product over all (member, assignment) coordinates,
-    generated by the k projection tuples; elements are interned in sorted
-    tuple order and each carries a defining term.
+    generated by the k projection tuples; each element carries a defining
+    term.  Heyting elements are numbered in sorted tuple order, modal ones
+    by their atom masks.  A closure that passes ``element_cap`` elements is
+    refused as soon as it does.
     """
     if not K.members:
         raise InputError("free algebra needs a nonempty catalog")
@@ -170,68 +153,55 @@ def free_algebra(
             f"free algebra needs {ncoords} coordinates, cap is {coord_cap}"
         )
 
+    keys, terms, index, ops, fixed = _closure(K, k, element_cap)
+    n = len(keys)
+    E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, -1)
+
+    def number(rows, numbering) -> list[int]:
+        return [int(numbering[index[key]]) for key in _rows_to_keys(rows)]
+
     if K.kind == "heyting":
-        elems, terms, bot_t, top_t, coords = _close_heyting(K.members, k, element_cap)
-        order = sorted(range(len(elems)), key=lambda i: elems[i])
-        rank = {elems[i]: pos for pos, i in enumerate(order)}
-        n = len(elems)
-        meet = np.zeros((n, n), dtype=np.int32)
-        join = np.zeros((n, n), dtype=np.int32)
-        imp = np.zeros((n, n), dtype=np.int32)
-        ordered = [elems[i] for i in order]
-        for a, ta in enumerate(ordered):
-            for b, tb in enumerate(ordered):
-                meet[a, b] = rank[
-                    tuple(int(A.meet[ta[c], tb[c]]) for c, (A, _) in enumerate(coords))
-                ]
-                join[a, b] = rank[
-                    tuple(int(A.join[ta[c], tb[c]]) for c, (A, _) in enumerate(coords))
-                ]
-                imp[a, b] = rank[
-                    tuple(int(A.imp[ta[c], tb[c]]) for c, (A, _) in enumerate(coords))
-                ]
-        alg = HeytingAlgebra(n, meet, join, imp, rank[bot_t], rank[top_t])
-        gens = tuple(
-            rank[tuple(alpha[i] for _, alpha in coords)] for i in range(k)
-        )
-        term_map = {rank[elems[i]]: terms[i] for i in range(len(elems))}
-        return FreeAlgebra(alg, gens, term_map, K, k)
+        order = np.lexsort(E.T[::-1])
+        numbering = np.empty(n, dtype=np.int64)
+        numbering[order] = np.arange(n)
+        ordered = E[order]
+        tables = [np.zeros((n, n), dtype=np.int32) for _ in range(3)]
+        for a in range(n):
+            for t, op in zip(tables, (ops.meet, ops.join, ops.imp)):
+                t[a] = number(op(ordered[a], ordered), numbering)
+        bot, top = number(fixed[:2], numbering)
+        alg = HeytingAlgebra(n, *tables, bot, top)
+    else:
+        # A finite Boolean algebra of masks: its atoms are the least
+        # elements containing each point (coordinate, bit) of top.
+        atoms = {}
+        for c, top_c in enumerate(fixed[1].tolist()):
+            for bit in range(top_c.bit_length()):
+                atom = np.bitwise_and.reduce(E[(E[:, c] >> bit) & 1 == 1], axis=0)
+                atoms[atom.tobytes()] = atom
+        natoms = len(atoms)
+        if natoms > ATOM_CAP:
+            raise CapExceeded(f"free algebra has {natoms} atoms, cap is {ATOM_CAP}")
+        if n != 1 << natoms:
+            raise InternalCheckError("closure size is not a power of two")
+        atom_rows = np.array(list(atoms.values()), dtype=np.int64).reshape(natoms, -1)
+        atom_rows = atom_rows[np.lexsort(atom_rows.T[::-1])]
 
-    elems, terms, bot_t, top_t, coords = _close_modal(K.members, k, element_cap)
+        def masks_of(rows):
+            out = np.zeros(len(rows), dtype=np.int64)
+            for j, atom in enumerate(atom_rows):
+                out |= np.all(ops.meet(rows, atom) == atom, axis=1).astype(np.int64) << j
+            return out
 
-    def leq(t1, t2):
-        return all(a & b == a for a, b in zip(t1, t2))
-
-    nonzero = [t for t in elems if t != bot_t]
-    atoms = sorted(
-        t for t in nonzero if not any(s != t and leq(s, t) for s in nonzero)
-    )
-    natoms = len(atoms)
-    if natoms > ATOM_CAP:
-        raise CapExceeded(f"free algebra has {natoms} atoms, cap is {ATOM_CAP}")
-    if len(elems) != 1 << natoms:
-        raise InternalCheckError("closure size is not a power of two")
-
-    def mask_of(t):
-        out = 0
-        for j, a in enumerate(atoms):
-            if leq(a, t):
-                out |= 1 << j
-        return out
-
-    mask = {t: mask_of(t) for t in elems}
-    if len(set(mask.values())) != len(elems):
-        raise InternalCheckError("atom decomposition failed to separate elements")
-    box = np.zeros(len(elems), dtype=np.int64)
-    for t in elems:
-        bt = tuple(int(A.box[t[c]]) for c, (A, _) in enumerate(coords))
-        box[mask[t]] = mask[bt]
-    alg = ModalAlgebra(natoms, box)
-    gens = tuple(
-        mask[tuple(alpha[i] for _, alpha in coords)] for i in range(k)
-    )
-    term_map = {mask[elems[i]]: terms[i] for i in range(len(elems))}
-    return FreeAlgebra(alg, gens, term_map, K, k)
+        numbering = masks_of(E)
+        if len(set(numbering.tolist())) != n:
+            raise InternalCheckError("atom decomposition failed to separate elements")
+        box = np.zeros(n, dtype=np.int64)
+        box[numbering] = masks_of(ops.box(E))
+        alg = ModalAlgebra(natoms, box)
+    generators = tuple(number(fixed[2:], numbering))
+    term_map = {int(numbering[i]): terms[i] for i in range(n)}
+    return FreeAlgebra(alg, generators, term_map, K, k)
 
 
 def ump_extension_count(free: FreeAlgebra, member, assignment) -> int:

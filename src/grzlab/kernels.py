@@ -1,128 +1,38 @@
-"""Scan kernels with numba and pure-numpy implementations.
+"""Vectorized numpy scans over operation tables and relation matrices.
 
-Every kernel here exists twice: an ``@njit`` version and a vectorized numpy
-version with identical semantics.  The public wrappers pick one per call:
-
-* ``GRZLAB_NO_NUMBA=1`` (or any value other than ``0``/empty) forces numpy;
-* if numba is not importable the numpy path is used silently;
-* below a per-kernel work threshold the numpy path runs even when numba is
-  available, so one-off small calls never pay JIT warmup.
-
-Pass ``force_backend="numba"``/``"numpy"`` to pin a path (tests, benchmarks).
-
-Formula programs are postfix opcode arrays shared with the logic module:
-each instruction is a pair (code[i], arg[i]).  Heyting programs use table
-lookups for the connectives; modal programs use bit operations on masks.
+Each kernel returns the least witness in a fixed order, so callers report
+the same counterexample every run.  Term evaluation lives in ``ulogic``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-OP_VAR = 0  # push value of variable arg
-OP_CONST = 1  # push element arg
-OP_MEET = 2  # pop y, x; push x meet y   (modal: x & y)
-OP_JOIN = 3  # pop y, x; push x join y   (modal: x | y)
-OP_IMP = 4  # pop y, x; push x -> y      (modal: ~x | y)
-OP_BOX = 5  # pop x; push box x          (modal only)
-OP_NOT = 6  # pop x; push ~x             (modal only)
-
-_DISABLED = os.environ.get("GRZLAB_NO_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-if not HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """Identity decorator so the numba definitions still import."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend_name() -> str:
-    """Name of the default backend ("numba" or "numpy")."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _pick(work: int, threshold: int, force_backend: str | None) -> bool:
-    """True when the numba path should run."""
-    if force_backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but not available")
-        return True
-    if force_backend == "numpy":
-        return False
-    if force_backend is not None:
-        raise ValueError(f"unknown backend {force_backend!r}")
-    return HAVE_NUMBA and work >= threshold
-
 
 # ---------------------------------------------------------------------------
 # K axiom scan: first pair (a, b) with box(a & b) != box(a) & box(b)
 
 
-@njit(cache=True)
-def _k_axiom_nb(box):
-    size = box.shape[0]
-    for a in range(size):
-        ba = box[a]
-        for b in range(size):
-            if box[a & b] != ba & box[b]:
-                return np.int64(a * size + b)
-    return np.int64(-1)
-
-
-def _k_axiom_np(box):
+def k_axiom_witness(box: np.ndarray) -> int:
+    """Least (a, b) with box(a∧b) ≠ box(a)∧box(b), packed as a*size+b; -1 if none."""
+    box = np.ascontiguousarray(box, dtype=np.int64)
     size = box.shape[0]
     idx = np.arange(size, dtype=np.int64)
     for a in range(size):
         bad = np.nonzero(box[a & idx] != (box[a] & box))[0]
         if bad.size:
-            return np.int64(a * size + bad[0])
-    return np.int64(-1)
-
-
-def k_axiom_witness(box: np.ndarray, force_backend: str | None = None) -> int:
-    """Least (a, b) with box(a∧b) ≠ box(a)∧box(b), packed as a*size+b; -1 if none."""
-    box = np.ascontiguousarray(box, dtype=np.int64)
-    size = box.shape[0]
-    if _pick(size * size, 1 << 16, force_backend):
-        return int(_k_axiom_nb(box))
-    return int(_k_axiom_np(box))
+            return int(a * size + bad[0])
+    return -1
 
 
 # ---------------------------------------------------------------------------
 # Residuation scan: first (a, b, c) with (a meet b <= c) != (a <= b -> c)
 
 
-@njit(cache=True)
-def _residuation_nb(meet, imp, leq):
-    n = meet.shape[0]
-    for a in range(n):
-        for b in range(n):
-            m = meet[a, b]
-            for c in range(n):
-                if leq[m, c] != leq[a, imp[b, c]]:
-                    return np.int64((a * n + b) * n + c)
-    return np.int64(-1)
-
-
-def _residuation_np(meet, imp, leq):
+def residuation_witness(meet: np.ndarray, imp: np.ndarray, leq: np.ndarray) -> int:
+    """Least (a, b, c) violating the residuation law, packed; -1 if none."""
+    meet = np.ascontiguousarray(meet, dtype=np.int64)
+    imp = np.ascontiguousarray(imp, dtype=np.int64)
+    leq = np.ascontiguousarray(leq, dtype=np.uint8)
     n = meet.shape[0]
     for a in range(n):
         left = leq[meet[a], :]  # left[b, c] = (a meet b) <= c
@@ -131,295 +41,8 @@ def _residuation_np(meet, imp, leq):
         if bad[0].size:
             b = int(bad[0][0])
             c = int(bad[1][0])
-            return np.int64((a * n + b) * n + c)
-    return np.int64(-1)
-
-
-def residuation_witness(
-    meet: np.ndarray,
-    imp: np.ndarray,
-    leq: np.ndarray,
-    force_backend: str | None = None,
-) -> int:
-    """Least (a, b, c) violating the residuation law, packed; -1 if none."""
-    meet = np.ascontiguousarray(meet, dtype=np.int64)
-    imp = np.ascontiguousarray(imp, dtype=np.int64)
-    leq = np.ascontiguousarray(leq, dtype=np.uint8)
-    n = meet.shape[0]
-    if _pick(n * n * n, 1 << 18, force_backend):
-        return int(_residuation_nb(meet, imp, leq))
-    return int(_residuation_np(meet, imp, leq))
-
-
-# ---------------------------------------------------------------------------
-# Universal sentence scans.  Assignment t encodes variable values in lex
-# order: variable 0 is the most significant digit.  Returns the least
-# assignment satisfying every premise but no conclusion, -1 when valid.
-
-
-@njit(cache=True)
-def _run_heyting_nb(stack, digits, code, arg, start, end, meet, join, imp):
-    sp = 0
-    for i in range(start, end):
-        op = code[i]
-        if op == OP_VAR:
-            stack[sp] = digits[arg[i]]
-            sp += 1
-        elif op == OP_CONST:
-            stack[sp] = arg[i]
-            sp += 1
-        elif op == OP_MEET:
-            stack[sp - 2] = meet[stack[sp - 2], stack[sp - 1]]
-            sp -= 1
-        elif op == OP_JOIN:
-            stack[sp - 2] = join[stack[sp - 2], stack[sp - 1]]
-            sp -= 1
-        else:  # OP_IMP
-            stack[sp - 2] = imp[stack[sp - 2], stack[sp - 1]]
-            sp -= 1
-    return stack[0]
-
-
-@njit(cache=True)
-def _scan_heyting_nb(size, nvars, total, code, arg, eqb, n_prem, meet, join, imp, depth):
-    stack = np.empty(depth, np.int64)
-    digits = np.empty(max(nvars, 1), np.int64)
-    n_eq = eqb.shape[0]
-    for t in range(total):
-        rest = t
-        for v in range(nvars - 1, -1, -1):
-            digits[v] = rest % size
-            rest //= size
-        ok = True
-        for e in range(n_prem):
-            lhs = _run_heyting_nb(stack, digits, code, arg, eqb[e, 0], eqb[e, 1], meet, join, imp)
-            rhs = _run_heyting_nb(stack, digits, code, arg, eqb[e, 2], eqb[e, 3], meet, join, imp)
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            continue
-        refuted = True
-        for e in range(n_prem, n_eq):
-            lhs = _run_heyting_nb(stack, digits, code, arg, eqb[e, 0], eqb[e, 1], meet, join, imp)
-            rhs = _run_heyting_nb(stack, digits, code, arg, eqb[e, 2], eqb[e, 3], meet, join, imp)
-            if lhs == rhs:
-                refuted = False
-                break
-        if refuted:
-            return t
-    return np.int64(-1)
-
-
-@njit(cache=True)
-def _run_modal_nb(stack, digits, code, arg, start, end, top, box):
-    sp = 0
-    for i in range(start, end):
-        op = code[i]
-        if op == OP_VAR:
-            stack[sp] = digits[arg[i]]
-            sp += 1
-        elif op == OP_CONST:
-            stack[sp] = arg[i]
-            sp += 1
-        elif op == OP_MEET:
-            stack[sp - 2] = stack[sp - 2] & stack[sp - 1]
-            sp -= 1
-        elif op == OP_JOIN:
-            stack[sp - 2] = stack[sp - 2] | stack[sp - 1]
-            sp -= 1
-        elif op == OP_IMP:
-            stack[sp - 2] = (top ^ stack[sp - 2]) | stack[sp - 1]
-            sp -= 1
-        elif op == OP_BOX:
-            stack[sp - 1] = box[stack[sp - 1]]
-        else:  # OP_NOT
-            stack[sp - 1] = top ^ stack[sp - 1]
-    return stack[0]
-
-
-@njit(cache=True)
-def _scan_modal_nb(top, nvars, total, size, code, arg, eqb, n_prem, box, depth):
-    stack = np.empty(depth, np.int64)
-    digits = np.empty(max(nvars, 1), np.int64)
-    n_eq = eqb.shape[0]
-    for t in range(total):
-        rest = t
-        for v in range(nvars - 1, -1, -1):
-            digits[v] = rest % size
-            rest //= size
-        ok = True
-        for e in range(n_prem):
-            lhs = _run_modal_nb(stack, digits, code, arg, eqb[e, 0], eqb[e, 1], top, box)
-            rhs = _run_modal_nb(stack, digits, code, arg, eqb[e, 2], eqb[e, 3], top, box)
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            continue
-        refuted = True
-        for e in range(n_prem, n_eq):
-            lhs = _run_modal_nb(stack, digits, code, arg, eqb[e, 0], eqb[e, 1], top, box)
-            rhs = _run_modal_nb(stack, digits, code, arg, eqb[e, 2], eqb[e, 3], top, box)
-            if lhs == rhs:
-                refuted = False
-                break
-        if refuted:
-            return t
-    return np.int64(-1)
-
-
-_BLOCK = 1 << 13
-
-
-def _eval_block_heyting(side, e, eqb, code, arg, digits, meet, join, imp):
-    start = int(eqb[e, 2 * side])
-    end = int(eqb[e, 2 * side + 1])
-    stack: list[np.ndarray] = []
-    width = digits.shape[1]
-    for i in range(start, end):
-        op = int(code[i])
-        if op == OP_VAR:
-            stack.append(digits[int(arg[i])])
-        elif op == OP_CONST:
-            stack.append(np.full(width, int(arg[i]), dtype=np.int64))
-        else:
-            y = stack.pop()
-            x = stack.pop()
-            table = meet if op == OP_MEET else join if op == OP_JOIN else imp
-            stack.append(table[x, y])
-    return stack[0]
-
-
-def _eval_block_modal(side, e, eqb, code, arg, digits, top, box):
-    start = int(eqb[e, 2 * side])
-    end = int(eqb[e, 2 * side + 1])
-    stack: list[np.ndarray] = []
-    width = digits.shape[1]
-    for i in range(start, end):
-        op = int(code[i])
-        if op == OP_VAR:
-            stack.append(digits[int(arg[i])])
-        elif op == OP_CONST:
-            stack.append(np.full(width, int(arg[i]), dtype=np.int64))
-        elif op == OP_BOX:
-            stack.append(box[stack.pop()])
-        elif op == OP_NOT:
-            stack.append(top ^ stack.pop())
-        else:
-            y = stack.pop()
-            x = stack.pop()
-            if op == OP_MEET:
-                stack.append(x & y)
-            elif op == OP_JOIN:
-                stack.append(x | y)
-            else:
-                stack.append((top ^ x) | y)
-    return stack[0]
-
-
-def _scan_np(size, nvars, total, code, arg, eqb, n_prem, eval_block):
-    # total >= 1 always: algebras are nonempty and size**0 == 1.
-    n_eq = eqb.shape[0]
-    pows = size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[None, :] // pows[:, None]) % size
-        ok = np.ones(idx.size, dtype=bool)
-        for e in range(n_prem):
-            lhs = eval_block(0, e, eqb, code, arg, digits)
-            rhs = eval_block(1, e, eqb, code, arg, digits)
-            ok &= lhs == rhs
-            if not ok.any():
-                break
-        if not ok.any():
-            continue
-        concl = np.zeros(idx.size, dtype=bool)
-        for e in range(n_prem, n_eq):
-            lhs = eval_block(0, e, eqb, code, arg, digits)
-            rhs = eval_block(1, e, eqb, code, arg, digits)
-            concl |= lhs == rhs
-        bad = ok & ~concl
-        if bad.any():
-            return int(idx[np.argmax(bad)])
+            return (a * n + b) * n + c
     return -1
-
-
-def scan_heyting(
-    size: int,
-    nvars: int,
-    code: np.ndarray,
-    arg: np.ndarray,
-    eqb: np.ndarray,
-    n_prem: int,
-    meet: np.ndarray,
-    join: np.ndarray,
-    imp: np.ndarray,
-    force_backend: str | None = None,
-) -> int:
-    """Least assignment index refuting the sentence on the table algebra; -1 if valid."""
-    total = size**nvars
-    code = np.ascontiguousarray(code, dtype=np.int64)
-    arg = np.ascontiguousarray(arg, dtype=np.int64)
-    eqb = np.ascontiguousarray(eqb, dtype=np.int64).reshape(-1, 4)
-    meet = np.ascontiguousarray(meet, dtype=np.int64)
-    join = np.ascontiguousarray(join, dtype=np.int64)
-    imp = np.ascontiguousarray(imp, dtype=np.int64)
-    depth = _stack_depth(code)
-    if _pick(total * max(code.size, 1), 1 << 17, force_backend):
-        return int(
-            _scan_heyting_nb(
-                size, nvars, total, code, arg, eqb, n_prem, meet, join, imp, depth
-            )
-        )
-
-    def eval_block(side, e, b_eqb, b_code, b_arg, digits):
-        return _eval_block_heyting(side, e, b_eqb, b_code, b_arg, digits, meet, join, imp)
-
-    return _scan_np(size, nvars, total, code, arg, eqb, n_prem, eval_block)
-
-
-def scan_modal(
-    atoms: int,
-    nvars: int,
-    code: np.ndarray,
-    arg: np.ndarray,
-    eqb: np.ndarray,
-    n_prem: int,
-    box: np.ndarray,
-    force_backend: str | None = None,
-) -> int:
-    """Least assignment index refuting the sentence on the mask algebra; -1 if valid."""
-    size = 1 << atoms
-    top = size - 1
-    total = size**nvars
-    code = np.ascontiguousarray(code, dtype=np.int64)
-    arg = np.ascontiguousarray(arg, dtype=np.int64)
-    eqb = np.ascontiguousarray(eqb, dtype=np.int64).reshape(-1, 4)
-    box = np.ascontiguousarray(box, dtype=np.int64)
-    depth = _stack_depth(code)
-    if _pick(total * max(code.size, 1), 1 << 17, force_backend):
-        return int(
-            _scan_modal_nb(top, nvars, total, size, code, arg, eqb, n_prem, box, depth)
-        )
-
-    def eval_block(side, e, b_eqb, b_code, b_arg, digits):
-        return _eval_block_modal(side, e, b_eqb, b_code, b_arg, digits, top, box)
-
-    return _scan_np(size, nvars, total, code, arg, eqb, n_prem, eval_block)
-
-
-def _stack_depth(code: np.ndarray) -> int:
-    depth = 1
-    cur = 0
-    for op in code:
-        if op in (OP_VAR, OP_CONST):
-            cur += 1
-            depth = max(depth, cur)
-        elif op in (OP_MEET, OP_JOIN, OP_IMP):
-            cur -= 1
-    return max(depth, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -429,32 +52,7 @@ def _stack_depth(code: np.ndarray) -> int:
 # key inside a signed 64-bit integer.
 
 
-@njit(cache=True)
-def _perm_min_key_nb(mat, perms):
-    n = mat.shape[0]
-    best = np.int64(0)
-    for i in range(n * n):
-        best = (best << 1) | 1
-    for p in range(perms.shape[0]):
-        key = np.int64(0)
-        for i in range(n):
-            pi = perms[p, i]
-            for j in range(n):
-                key = (key << 1) | mat[pi, perms[p, j]]
-        if key < best:
-            best = key
-    return best
-
-
-def _perm_min_key_np(mat, perms):
-    n = mat.shape[0]
-    gathered = mat[perms[:, :, None], perms[:, None, :]]
-    flat = gathered.reshape(perms.shape[0], n * n).astype(np.int64)
-    weights = np.int64(1) << np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    return np.min(flat @ weights)
-
-
-def perm_min_key(mat: np.ndarray, perms: np.ndarray, force_backend: str | None = None) -> int:
+def perm_min_key(mat: np.ndarray, perms: np.ndarray) -> int:
     """Minimum packed matrix over the given simultaneous permutations."""
     n = mat.shape[0]
     if n * n > 49:
@@ -463,9 +61,10 @@ def perm_min_key(mat: np.ndarray, perms: np.ndarray, force_backend: str | None =
     perms = np.ascontiguousarray(perms, dtype=np.int64).reshape(-1, n)
     if n == 0:
         return 0
-    if _pick(perms.shape[0] * n * n, 1 << 12, force_backend):
-        return int(_perm_min_key_nb(mat, perms))
-    return int(_perm_min_key_np(mat, perms))
+    gathered = mat[perms[:, :, None], perms[:, None, :]]
+    flat = gathered.reshape(perms.shape[0], n * n).astype(np.int64)
+    weights = np.int64(1) << np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    return int(np.min(flat @ weights))
 
 
 # ---------------------------------------------------------------------------
@@ -474,46 +73,10 @@ def perm_min_key(mat: np.ndarray, perms: np.ndarray, force_backend: str | None =
 # are bitmasks over the 2^k subset masks.
 
 
-@njit(cache=True)
-def _topology_valid_nb(k):
-    n_subsets = 1 << k
-    n_families = 1 << n_subsets
-    full = n_subsets - 1
-    out = np.zeros(n_families, np.uint8)
-    members = np.empty(n_subsets, np.int64)
-    for fam in range(n_families):
-        if fam & 1 == 0:
-            continue
-        if (fam >> full) & 1 == 0:
-            continue
-        count = 0
-        rest = fam
-        while rest:
-            low = rest & (-rest)
-            s = 0
-            tmp = low
-            while tmp > 1:
-                tmp >>= 1
-                s += 1
-            members[count] = s
-            count += 1
-            rest ^= low
-        good = True
-        for i in range(count):
-            si = members[i]
-            for j in range(i + 1, count):
-                sj = members[j]
-                if (fam >> (si | sj)) & 1 == 0 or (fam >> (si & sj)) & 1 == 0:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out[fam] = 1
-    return out
-
-
-def _topology_valid_np(k):
+def topology_valid(k: int) -> np.ndarray:
+    """uint8 array over all subset families: 1 where the family is a topology."""
+    if k < 0 or k > 4:
+        raise ValueError("topology scan supports 0 <= k <= 4")
     n_subsets = 1 << k
     n_families = 1 << n_subsets
     fams = np.arange(n_families, dtype=np.int64)
@@ -525,12 +88,3 @@ def _topology_valid_np(k):
             both = has[:, s] & has[:, t]
             valid &= ~both | (has[:, s | t] & has[:, s & t])
     return valid.astype(np.uint8)
-
-
-def topology_valid(k: int, force_backend: str | None = None) -> np.ndarray:
-    """uint8 array over all subset families: 1 where the family is a topology."""
-    if k < 0 or k > 4:
-        raise ValueError("topology scan supports 0 <= k <= 4")
-    if _pick(1 << (1 << k), 1 << 14, force_backend):
-        return _topology_valid_nb(k)
-    return _topology_valid_np(k)

@@ -555,14 +555,19 @@ class Homomorphism:
             if f[src.top ^ a] != tgt.top ^ f[a]:
                 out.append(("neg", (a,)))
                 break
-        done = False
-        for a in dom:
-            for b in dom:
-                if f[a & b] != f[a] & f[b]:
-                    out.append(("meet", (a, b)))
-                    done = True
-                    break
-            if done:
+        # Meets a block of rows a at a time, b over the domain in its order,
+        # so the first bad entry in row-major order is the least pair.
+        dom_arr = np.array(dom, dtype=np.int64)
+        img = np.array([f[a] for a in dom], dtype=np.int64)
+        at = np.zeros(src.size, dtype=np.int64)
+        at[dom_arr] = img
+        step = max(1, (1 << 16) // len(dom))
+        for lo in range(0, len(dom), step):
+            rows = slice(lo, lo + step)
+            bad = at[dom_arr[rows, None] & dom_arr] != (img[rows, None] & img)
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), len(dom))
+                out.append(("meet", (dom[lo + i], dom[j])))
                 break
         if self.kind == "stable":
             for a in dom:

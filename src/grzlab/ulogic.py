@@ -3,8 +3,8 @@
 The syntax layer is deliberately small: formulas over & | -> ~ box with
 constants, rules as premise/conclusion formula sets, and their standard
 reading as universal sentences (every formula equated to top).  Evaluation
-enumerates assignments through the scan kernels and reports the least
-counterexample, so results are reproducible down to the witness.
+runs one numpy term evaluator over blocks of assignments and reports the
+least counterexample, so results are reproducible down to the witness.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import CapExceeded, InputError, ParseError
 from .finlat import HeytingAlgebra
 from .modal import ModalAlgebra
@@ -361,71 +360,136 @@ def sentence_to_json(sent: UniversalSentence) -> dict:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# One evaluator serves sentences, single formulas and free algebras: it
+# computes the value of a term at many coordinates at once.  A coordinate
+# is one point of evaluation, an assignment in one algebra or a (member,
+# assignment) pair across a catalog; values are numpy vectors along the
+# coordinate axis, or scalars where they do not vary.
+
+_BLOCK = 1 << 13
 
 
-def _compile_formula(f, var_index, bot, top, modal, code, arg):
-    if isinstance(f, Var):
-        code.append(kernels.OP_VAR)
-        arg.append(var_index[f.name])
-    elif isinstance(f, Const):
-        code.append(kernels.OP_CONST)
-        arg.append(bot if f.name == "bot" else top)
-    elif isinstance(f, Not):
-        if modal:
-            _compile_formula(f.arg, var_index, bot, top, modal, code, arg)
-            code.append(kernels.OP_NOT)
-            arg.append(0)
+def _starts(members) -> list[int]:
+    """Where each member's elements begin when the members are laid end to end."""
+    return list(itertools.accumulate([A.size for A in members[:-1]], initial=0))
+
+
+def _layout(members, counts, values):
+    """Per-coordinate vector of one value per member, or the value itself."""
+    if len(members) == 1:
+        return values[0]
+    return np.repeat(np.array(values, dtype=np.int64), counts)
+
+
+class HeytingOps:
+    """Heyting operations on coordinate vectors, by gathers from the tables.
+
+    ``counts[i]`` consecutive coordinates belong to ``members[i]``.  The
+    members' tables are stacked block-diagonally, so element e of member i
+    is stored as e plus the sizes of the members before it, and one gather
+    applies an operation at every coordinate.  A single algebra is the
+    one-member case: its own tables, no shift, scalar bot and top.
+    """
+
+    def __init__(self, members, counts=(1,)):
+        starts = _starts(members)
+        if len(members) == 1:
+            A = members[0]
+            self.meet_t, self.join_t, self.imp_t = A.meet, A.join, A.imp
         else:
-            # ~a is a -> bot in the heyting signature
-            _compile_formula(f.arg, var_index, bot, top, modal, code, arg)
-            code.append(kernels.OP_CONST)
-            arg.append(bot)
-            code.append(kernels.OP_IMP)
-            arg.append(0)
-    elif isinstance(f, Box):
-        if not modal:
-            raise InputError("box formula on a heyting algebra")
-        _compile_formula(f.arg, var_index, bot, top, modal, code, arg)
-        code.append(kernels.OP_BOX)
-        arg.append(0)
-    elif isinstance(f, (And, Or, Imp)):
-        _compile_formula(f.left, var_index, bot, top, modal, code, arg)
-        _compile_formula(f.right, var_index, bot, top, modal, code, arg)
-        code.append(
-            kernels.OP_MEET
-            if isinstance(f, And)
-            else kernels.OP_JOIN
-            if isinstance(f, Or)
-            else kernels.OP_IMP
-        )
-        arg.append(0)
-    else:
-        raise InputError(f"not a formula: {f!r}")
+            n = sum(A.size for A in members)
+            tables = []
+            for name in ("meet", "join", "imp"):
+                t = np.zeros((n, n), dtype=np.int64)
+                for A, s in zip(members, starts):
+                    t[s : s + A.size, s : s + A.size] = getattr(A, name) + s
+                tables.append(t)
+            self.meet_t, self.join_t, self.imp_t = tables
+        self.shift = _layout(members, counts, starts)
+        self.bot = self.shift + _layout(members, counts, [A.bot for A in members])
+        self.top = self.shift + _layout(members, counts, [A.top for A in members])
+
+    def embed(self, local):
+        """Coordinate values of member elements given by their own indices."""
+        return local + self.shift
+
+    def meet(self, x, y):
+        return self.meet_t[x, y]
+
+    def join(self, x, y):
+        return self.join_t[x, y]
+
+    def imp(self, x, y):
+        return self.imp_t[x, y]
+
+    def neg(self, x):
+        return self.imp_t[x, self.bot]
+
+    def box(self, x):
+        raise InputError("box formula on a heyting algebra")
 
 
-def compile_sentence(sent: UniversalSentence, algebra):
-    """Postfix programs plus equation boundaries for the scan kernels."""
-    modal = isinstance(algebra, ModalAlgebra)
-    bot = 0 if modal else algebra.bot
-    top = algebra.top
-    var_index = {name: i for i, name in enumerate(sent.variables)}
-    code: list[int] = []
-    arg: list[int] = []
-    eqb: list[list[int]] = []
-    for lhs, rhs in sent.premises + sent.conclusions:
-        row = [len(code)]
-        _compile_formula(lhs, var_index, bot, top, modal, code, arg)
-        row.append(len(code))
-        row.append(len(code))
-        _compile_formula(rhs, var_index, bot, top, modal, code, arg)
-        row.append(len(code))
-        eqb.append(row)
-    return (
-        np.array(code, dtype=np.int64),
-        np.array(arg, dtype=np.int64),
-        np.array(eqb, dtype=np.int64).reshape(-1, 4),
-        len(sent.premises),
-    )
+class ModalOps:
+    """Modal operations on coordinate vectors of atom masks.
+
+    Boolean operations are bitwise; box gathers from the members' box
+    tables laid end to end, read at each coordinate's member offset.
+    """
+
+    def __init__(self, members, counts=(1,)):
+        self.bot = 0
+        self.top = _layout(members, counts, [A.top for A in members])
+        if len(members) == 1:
+            self.box_t = members[0].box
+            self.shift = None
+        else:
+            self.box_t = np.concatenate([A.box for A in members])
+            self.shift = _layout(members, counts, _starts(members))
+
+    def embed(self, local):
+        return local
+
+    def meet(self, x, y):
+        return x & y
+
+    def join(self, x, y):
+        return x | y
+
+    def imp(self, x, y):
+        return (self.top ^ x) | y
+
+    def neg(self, x):
+        return self.top ^ x
+
+    def box(self, x):
+        return self.box_t[x] if self.shift is None else self.box_t[x + self.shift]
+
+
+def term_ops(members, counts=(1,)):
+    """The operation set of the members' signature, over their coordinates."""
+    if isinstance(members[0], ModalAlgebra):
+        return ModalOps(members, counts)
+    return HeytingOps(members, counts)
+
+
+def term_values(f: Formula, ops, env):
+    """Value of f at every coordinate; env maps each variable to its values."""
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return ops.bot if f.name == "bot" else ops.top
+    if isinstance(f, Not):
+        return ops.neg(term_values(f.arg, ops, env))
+    if isinstance(f, Box):
+        return ops.box(term_values(f.arg, ops, env))
+    if isinstance(f, And):
+        return ops.meet(term_values(f.left, ops, env), term_values(f.right, ops, env))
+    if isinstance(f, Or):
+        return ops.join(term_values(f.left, ops, env), term_values(f.right, ops, env))
+    if isinstance(f, Imp):
+        return ops.imp(term_values(f.left, ops, env), term_values(f.right, ops, env))
+    raise InputError(f"not a formula: {f!r}")
 
 
 def _require_signature(algebra, sent: UniversalSentence) -> None:
@@ -439,12 +503,32 @@ def _require_signature(algebra, sent: UniversalSentence) -> None:
         raise InputError(f"cannot evaluate on {type(algebra).__name__}")
 
 
-def eval_sentence(
-    algebra,
-    sent: UniversalSentence,
-    cap: int = EVAL_CAP,
-    force_backend: str | None = None,
-) -> dict:
+def _least_counterexample(sent: UniversalSentence, ops, size: int, total: int) -> int:
+    """Index of the least assignment refuting the sentence; -1 if none.
+
+    Assignment t gives variable v the digit of t of weight size**(n-1-v),
+    so the first variable is the most significant digit.  Assignments are
+    scanned in blocks of ``_BLOCK``; total >= 1 since algebras are nonempty.
+    """
+    nvars = len(sent.variables)
+    pows = size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, total, _BLOCK):
+        idx = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        env = dict(zip(sent.variables, (idx[None, :] // pows[:, None]) % size))
+        bad = np.ones(idx.size, dtype=bool)
+        for lhs, rhs in sent.premises:
+            bad &= term_values(lhs, ops, env) == term_values(rhs, ops, env)
+            if not bad.any():
+                break
+        else:
+            for lhs, rhs in sent.conclusions:
+                bad &= term_values(lhs, ops, env) != term_values(rhs, ops, env)
+            if bad.any():
+                return lo + int(np.argmax(bad))
+    return -1
+
+
+def eval_sentence(algebra, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict:
     """Validity on one algebra, with the least counterexample when refuted.
 
     Assignments are ordered with the first variable as the most significant
@@ -452,30 +536,12 @@ def eval_sentence(
     """
     _require_signature(algebra, sent)
     size = algebra.size
-    nvars = len(sent.variables)
-    total = size**nvars
+    total = size ** len(sent.variables)
     if total > cap:
         raise CapExceeded(
             f"sentence needs {total} assignments on this algebra, cap is {cap}"
         )
-    code, arg, eqb, n_prem = compile_sentence(sent, algebra)
-    if isinstance(algebra, ModalAlgebra):
-        idx = kernels.scan_modal(
-            algebra.atoms, nvars, code, arg, eqb, n_prem, algebra.box, force_backend
-        )
-    else:
-        idx = kernels.scan_heyting(
-            size,
-            nvars,
-            code,
-            arg,
-            eqb,
-            n_prem,
-            algebra.meet,
-            algebra.join,
-            algebra.imp,
-            force_backend,
-        )
+    idx = _least_counterexample(sent, term_ops([algebra]), size, total)
     if idx < 0:
         return {"valid": True, "counterexample": None}
     assignment = {}
@@ -504,34 +570,7 @@ def catalog_validates(cat, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict
 
 def eval_formula(algebra, f: Formula, env: dict[str, int]) -> int:
     """One formula under one assignment; env maps variable names to elements."""
-    if isinstance(algebra, ModalAlgebra):
-        if isinstance(f, Var):
-            return env[f.name]
-        if isinstance(f, Const):
-            return 0 if f.name == "bot" else algebra.top
-        if isinstance(f, Not):
-            return algebra.top ^ eval_formula(algebra, f.arg, env)
-        if isinstance(f, Box):
-            return int(algebra.box[eval_formula(algebra, f.arg, env)])
-        x = eval_formula(algebra, f.left, env)
-        y = eval_formula(algebra, f.right, env)
-        if isinstance(f, And):
-            return x & y
-        if isinstance(f, Or):
-            return x | y
-        return (algebra.top ^ x) | y
-    if isinstance(f, Var):
-        return env[f.name]
-    if isinstance(f, Const):
-        return algebra.bot if f.name == "bot" else algebra.top
-    if isinstance(f, Not):
-        return int(algebra.imp[eval_formula(algebra, f.arg, env), algebra.bot])
-    if isinstance(f, Box):
-        raise InputError("box formula on a heyting algebra")
-    x = eval_formula(algebra, f.left, env)
-    y = eval_formula(algebra, f.right, env)
-    table = algebra.meet if isinstance(f, And) else algebra.join if isinstance(f, Or) else algebra.imp
-    return int(table[x, y])
+    return int(term_values(f, term_ops([algebra]), env))
 
 
 # ---------------------------------------------------------------------------

@@ -357,9 +357,3 @@ def test_usage_errors(capsys):
         assert code == 2 and "JSON" in err
     finally:
         pathlib.Path(name).unlink()
-
-
-@pytest.mark.filterwarnings("ignore:.*TBB.*")
-def test_threads_flag_accepted(capsys):
-    code, _, _ = run(capsys, "grz-check", "--std", "S2", "--threads", "2")
-    assert code == 1

@@ -1,5 +1,8 @@
 """Bounded free algebras, admissibility, and the completeness falsifier."""
 
+import itertools
+import time
+
 import pytest
 
 from grzlab.catalog import AlgebraCatalog
@@ -21,7 +24,7 @@ from grzlab.freealg import (
     weakly_admissible_k,
 )
 from grzlab.modal import complex_algebra, make_standard, validate_modal
-from grzlab.ulogic import parse_rule, to_text, translate
+from grzlab.ulogic import And, Box, Const, Imp, Not, Or, Var, parse_rule, to_text, translate
 
 
 def two_chain_catalog():
@@ -174,3 +177,108 @@ def test_sigma_free_checks_caps():
         sigma_free_checks(big, 1)
     with pytest.raises(InputError):
         sigma_free_checks(AlgebraCatalog("modal", (make_standard("S2"),)), 1)
+
+
+# ---------------------------------------------------------------------------
+# The closure against the naive tuple closures it replaced
+
+
+def naive_closure(members, k, modal):
+    """Every round applies the operations to all pairs, over Python tuples."""
+    coords = [(A, alpha) for A in members for alpha in itertools.product(range(A.size), repeat=k)]
+    elems, terms, seen = [], [], {}
+
+    def intern(t, term):
+        if t not in seen:
+            seen[t] = len(elems)
+            elems.append(t)
+            terms.append(term)
+
+    intern(tuple(0 if modal else A.bot for A, _ in coords), Const("bot"))
+    intern(tuple(A.top for A, _ in coords), Const("top"))
+    for i in range(k):
+        intern(tuple(alpha[i] for _, alpha in coords), Var(f"x{i}"))
+    while True:
+        n0 = len(elems)
+        if modal:
+            for i in range(n0):
+                intern(tuple(A.top ^ x for x, (A, _) in zip(elems[i], coords)), Not(terms[i]))
+                intern(tuple(int(A.box[x]) for x, (A, _) in zip(elems[i], coords)), Box(terms[i]))
+            for i in range(n0):
+                for j in range(n0):
+                    pairs = list(zip(elems[i], elems[j]))
+                    intern(tuple(x & y for x, y in pairs), And(terms[i], terms[j]))
+                    intern(tuple(x | y for x, y in pairs), Or(terms[i], terms[j]))
+        else:
+            for name, ctor in (("meet", And), ("join", Or), ("imp", Imp)):
+                for i in range(n0):
+                    for j in range(n0):
+                        t = tuple(
+                            int(getattr(A, name)[x, y])
+                            for x, y, (A, _) in zip(elems[i], elems[j], coords)
+                        )
+                        intern(t, ctor(terms[i], terms[j]))
+        if len(elems) == n0:
+            return elems, terms, coords
+
+
+def naive_free(members, k, modal):
+    """Tables (or box), generators and terms numbered as free_algebra numbers them."""
+    elems, terms, coords = naive_closure(members, k, modal)
+    gens = [tuple(alpha[i] for _, alpha in coords) for i in range(k)]
+    if not modal:
+        rank = {t: r for r, t in enumerate(sorted(elems))}
+        ordered = sorted(elems)
+        tables = {
+            name: [
+                [rank[tuple(int(getattr(A, name)[x, y]) for x, y, (A, _) in zip(a, b, coords))] for b in ordered]
+                for a in ordered
+            ]
+            for name in ("meet", "join", "imp")
+        }
+        number = rank
+    else:
+        def leq(s, t):
+            return all(x & y == x for x, y in zip(s, t))
+
+        nonzero = [t for t in elems if any(t)]
+        atoms = sorted(t for t in nonzero if not any(s != t and leq(s, t) for s in nonzero))
+        number = {t: sum(1 << j for j, a in enumerate(atoms) if leq(a, t)) for t in elems}
+        box = [0] * len(elems)
+        for t in elems:
+            box[number[t]] = number[tuple(int(A.box[x]) for x, (A, _) in zip(t, coords))]
+        tables = {"box": box}
+    terms = [(number[t], to_text(term)) for t, term in zip(elems, terms)]
+    return tables, [number[g] for g in gens], terms
+
+
+NAIVE_CASES = [
+    ("heyting", (chain_heyting(n),), k) for n in (2, 3, 4) for k in (0, 1, 2)
+] + [
+    ("heyting", (chain_heyting(2), chain_heyting(3)), 1),
+    ("heyting", (chain_heyting(3), downset_heyting(antichain_poset(2))), 1),
+    ("modal", (make_standard("S2"),), 1),
+    ("modal", (make_standard("S12"),), 1),
+    ("modal", (make_standard("S2"), make_standard("S12")), 1),
+]
+
+
+@pytest.mark.parametrize("kind,members,k", NAIVE_CASES)
+def test_free_algebra_matches_the_naive_closure(kind, members, k):
+    free = free_algebra(AlgebraCatalog(kind, members), k)
+    tables, gens, terms = naive_free(members, k, kind == "modal")
+    got = {name: free.algebra.to_record()[name] for name in tables}
+    assert got == tables
+    assert list(free.generators) == gens
+    assert [(e, to_text(t)) for e, t in free.terms.items()] == terms
+
+
+def test_element_cap_refuses_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
+        free_algebra(AlgebraCatalog("modal", (make_standard("S2"),)), 2)
+    assert time.perf_counter() - start < 2.0
+    # exactly at the cap the closure finishes
+    assert free_algebra(two_chain_catalog(), 2, element_cap=16).algebra.size == 16
+    with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
+        free_algebra(two_chain_catalog(), 2, element_cap=15)

@@ -1,34 +1,25 @@
-"""Kernel-level checks: both backends, same answers."""
+"""Kernel-level checks: least witnesses of the numpy scans."""
 
 import numpy as np
-import pytest
 
+import grzlab
 from grzlab import kernels
 from grzlab.finlat import chain_heyting, downset_heyting, antichain_poset
 from grzlab.modal import make_standard
-from grzlab.ulogic import compile_sentence, parse_rule, translate
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
-
-
-def _both(fn, *args):
-    results = [fn(*args, force_backend=b) for b in BACKENDS]
-    for r in results[1:]:
-        assert np.array_equal(r, results[0])
-    return results[0]
+from grzlab.ulogic import eval_sentence, parse_rule, translate
 
 
 def test_backend_name_is_known():
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert grzlab.backend_name() == "numpy"
 
 
 def test_k_axiom_witness_clean_and_dirty():
     s12 = make_standard("S12")
-    assert _both(kernels.k_axiom_witness, s12.box) == -1
+    assert kernels.k_axiom_witness(s12.box) == -1
     # declaring 1 open while box 3 stays 0 breaks box(1 & 3) = box 1 & box 3
     bad = s12.box.copy()
     bad[1] = 1
-    w = _both(kernels.k_axiom_witness, bad)
+    w = kernels.k_axiom_witness(bad)
     assert w >= 0
     a, b = divmod(int(w), s12.size)
     assert int(bad[a & b]) != int(bad[a]) & int(bad[b])
@@ -38,7 +29,7 @@ def test_residuation_witness_on_chains():
     for n in range(1, 7):
         alg = chain_heyting(n)
         leq = alg.leq.astype(np.bool_)
-        assert _both(kernels.residuation_witness, alg.meet, alg.imp, leq) == -1
+        assert kernels.residuation_witness(alg.meet, alg.imp, leq) == -1
 
 
 def test_residuation_witness_flags_bad_imp():
@@ -46,17 +37,23 @@ def test_residuation_witness_flags_bad_imp():
     bad = alg.imp.copy()
     bad[1, 0] = 2  # claims 1 -> 0 = top
     leq = alg.leq.astype(np.bool_)
-    w = _both(kernels.residuation_witness, alg.meet, bad, leq)
+    w = kernels.residuation_witness(alg.meet, bad, leq)
     assert w >= 0
 
 
-def _scan_args(algebra, rule_text, signature):
+def _least_index(algebra, rule_text, signature):
+    """The least counterexample as an assignment index, first variable most significant."""
     sent = translate(parse_rule(rule_text, signature))
-    code, arg, eqb, n_prem = compile_sentence(sent, algebra)
-    return sent, code, arg, eqb, n_prem
+    res = eval_sentence(algebra, sent)
+    if res["valid"]:
+        return -1
+    idx = 0
+    for name in sent.variables:
+        idx = idx * algebra.size + res["counterexample"][name]
+    return idx
 
 
-def test_scan_heyting_agrees_across_backends():
+def test_scan_heyting_cases():
     alg = downset_heyting(antichain_poset(2))  # the four-element boolean algebra
     cases = {
         "/ p | ~p": -1,
@@ -65,33 +62,17 @@ def test_scan_heyting_agrees_across_backends():
         "p -> q / q -> p": 1,
     }
     for rule, want in cases.items():
-        sent, code, arg, eqb, n_prem = _scan_args(alg, rule, "heyting")
-        nvars = len(sent.variables)
-        got = _both(
-            kernels.scan_heyting,
-            alg.size, nvars, code, arg, eqb, n_prem, alg.meet, alg.join, alg.imp,
-        )
-        assert got == want
+        assert _least_index(alg, rule, "heyting") == want
 
 
 def test_scan_heyting_least_counterexample():
-    alg = chain_heyting(3)
-    sent, code, arg, eqb, n_prem = _scan_args(alg, "/ p | ~p", "heyting")
-    idx = _both(
-        kernels.scan_heyting,
-        alg.size, 1, code, arg, eqb, n_prem, alg.meet, alg.join, alg.imp,
-    )
-    assert idx == 1  # p = 1 is the least failing assignment
+    # p = 1 is the least failing assignment
+    assert _least_index(chain_heyting(3), "/ p | ~p", "heyting") == 1
 
 
 def test_scan_modal_matches_python_reference():
     s12 = make_standard("S12")
-    sent, code, arg, eqb, n_prem = _scan_args(
-        s12, "/ box(box(p -> box p) -> p) -> p", "modal"
-    )
-    idx = _both(
-        kernels.scan_modal, s12.atoms, 1, code, arg, eqb, n_prem, s12.box
-    )
+    idx = _least_index(s12, "/ box(box(p -> box p) -> p) -> p", "modal")
     assert idx == 5  # least Grz failure of the eight-element standard algebra
 
 
@@ -102,26 +83,15 @@ def test_perm_min_key_invariant_under_relabeling():
         [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]], dtype=np.int8
     )
     perms = np.array(list(itertools.permutations(range(4))), dtype=np.int64)
-    key = _both(kernels.perm_min_key, leq, perms)
+    key = kernels.perm_min_key(leq, perms)
     for p in perms[:8]:
         relabeled = leq[np.ix_(p, p)]
-        assert _both(kernels.perm_min_key, relabeled, perms) == key
+        assert kernels.perm_min_key(relabeled, perms) == key
 
 
 def test_topology_valid_counts_labeled_topologies():
     # 1, 1, 4, 29, 355 labeled topologies on 0..4 points
     expected = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
     for k, want in expected.items():
-        valid = _both(kernels.topology_valid, k)
+        valid = kernels.topology_valid(k)
         assert int(np.count_nonzero(valid)) == want
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_backend_reachable():
-    # the scan threshold keeps tiny inputs on numpy; force the jit path once
-    s12 = make_standard("S12")
-    sent, code, arg, eqb, n_prem = _scan_args(s12, "/ box p -> p", "modal")
-    got = kernels.scan_modal(
-        s12.atoms, 1, code, arg, eqb, n_prem, s12.box, "numba"
-    )
-    assert got == -1

@@ -1,8 +1,11 @@
 """Modal algebras: axioms, filters, subalgebras, homs, the two standards."""
 
+import random
+
 import numpy as np
 import pytest
 
+from grzlab.catalog import interior_catalog
 from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import antichain_poset, chain_poset
 from grzlab.modal import (
@@ -280,3 +283,51 @@ def test_record_roundtrip_and_errors():
         ModalAlgebra.from_record({"kind": "heyting", "atoms": 1, "box": [0, 1]})
     with pytest.raises(CapExceeded):
         ModalAlgebra(20, np.zeros(1 << 20, dtype=np.int64))
+
+
+def loop_meet_witness(h):
+    """The meet check as a double loop over the domain: the reference."""
+    f = h.values
+    dom = h.domain_elements()
+    for a in dom:
+        for b in dom:
+            if f[a & b] != f[a] & f[b]:
+                return [("meet", (a, b))]
+    return []
+
+
+def test_verify_meet_witness_matches_the_loop():
+    rng = random.Random(20261018)
+    algs = list(interior_catalog(3).members) + [
+        make_standard("S2"),
+        make_standard("S12"),
+        complex_algebra(chain_poset(4)),
+    ]
+    outcomes = set()
+    for _ in range(300):
+        A, B = rng.choice(algs), rng.choice(algs)
+        dom = None
+        if rng.random() < 0.5:
+            dom = generated_subalgebra(A, [rng.randrange(A.size)], "boolean")
+        elems = dom.elements if dom is not None else range(A.size)
+        kind = "box_partial" if dom is not None else rng.choice(["boolean", "stable", "modal"])
+        homs = hom_search(A, B, kind="box_partial" if dom is not None else "boolean", domain=dom)
+        if homs and rng.random() < 0.7:
+            values = dict(homs[0].values)
+            for _ in range(rng.randrange(3)):  # zero to two broken values
+                values[rng.choice(list(elems))] = rng.randrange(B.size)
+        else:
+            values = {e: rng.randrange(B.size) for e in elems}
+        h = Homomorphism(A, B, kind, values, dom)
+        want = loop_meet_witness(h)
+        assert [w for w in h.verify() if w[0] == "meet"] == want
+        outcomes.add(bool(want))
+    assert outcomes == {True, False}
+    # 512 elements: the meet check runs over several blocks of rows
+    M = complex_algebra(chain_poset(9))
+    for broken in (0b110000000, 0b111111111, 0b100000001):
+        values = {a: a for a in range(M.size)}
+        values[broken] = 0
+        h = Homomorphism(M, M, "boolean", values)
+        want = loop_meet_witness(h)
+        assert want and [w for w in h.verify() if w[0] == "meet"] == want

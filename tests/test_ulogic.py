@@ -1,13 +1,17 @@
 """Rule language: parsing, printing, evaluation, enumeration."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from grzlab.bridge import boolean_extension
 from grzlab import ulogic
 from grzlab.catalog import heyting_catalog
 from grzlab.errors import CapExceeded, InputError, ParseError
-from grzlab.finlat import chain_heyting, trivial_heyting
-from grzlab.modal import make_standard
+from grzlab.finlat import FinitePoset, chain_heyting, downset_heyting, trivial_heyting
+from grzlab.modal import ModalAlgebra, complex_algebra, make_standard, modal_product
 from grzlab.ulogic import (
     And,
     Box,
@@ -16,6 +20,7 @@ from grzlab.ulogic import (
     Not,
     Or,
     Rule,
+    UniversalSentence,
     Var,
     catalog_validates,
     enumerate_formulas,
@@ -213,3 +218,105 @@ def test_enumerate_rules_counts():
     assert len(rules) == (1 + 3) * 3
     assert all(len(r.conclusions) == 1 for r in rules)
     assert len(enumerate_rules("heyting", 2, 2, depth=1)) == 89432
+
+
+# ---------------------------------------------------------------------------
+# eval_sentence against a brute-force reference
+
+
+def ref_value(alg, f, env):
+    """One formula under one assignment, straight from the definitions."""
+    modal = isinstance(alg, ModalAlgebra)
+    bot = 0 if modal else alg.bot
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return bot if f.name == "bot" else alg.top
+    if isinstance(f, (Not, Box)):
+        x = ref_value(alg, f.arg, env)
+        if isinstance(f, Box):
+            return int(alg.box[x])
+        return alg.top ^ x if modal else int(alg.imp[x, bot])
+    x, y = ref_value(alg, f.left, env), ref_value(alg, f.right, env)
+    if modal:
+        return {And: x & y, Or: x | y, Imp: (alg.top ^ x) | y}[type(f)]
+    return int({And: alg.meet, Or: alg.join, Imp: alg.imp}[type(f)][x, y])
+
+
+def ref_eval_sentence(alg, sent):
+    """Assignments in lexicographic order, first variable most significant."""
+    for values in itertools.product(range(alg.size), repeat=len(sent.variables)):
+        env = dict(zip(sent.variables, values))
+        holds = [ref_value(alg, l, env) == ref_value(alg, r, env) for l, r in sent.premises + sent.conclusions]
+        n = len(sent.premises)
+        if all(holds[:n]) and not any(holds[n:]):
+            return {"valid": False, "counterexample": env}
+    return {"valid": True, "counterexample": None}
+
+
+def random_formula(rng, signature, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Var(v) for v in names] + [Const("bot"), Const("top")])
+    ctors = [Not, And, Or, Imp] + ([Box] if signature == "modal" else [])
+    ctor = rng.choice(ctors)
+    if ctor in (Not, Box):
+        return ctor(random_formula(rng, signature, names, depth - 1))
+    return ctor(random_formula(rng, signature, names, depth - 1), random_formula(rng, signature, names, depth - 1))
+
+
+def random_sentence(rng, signature, names):
+    def equation():
+        lhs = random_formula(rng, signature, names, 3)
+        rhs = Const("top") if rng.random() < 0.5 else random_formula(rng, signature, names, 2)
+        return lhs, rhs
+
+    n_concl = rng.randrange(3)
+    n_prem = rng.randrange(0 if n_concl else 1, 3)  # at least one equation
+    prem = tuple(equation() for _ in range(n_prem))
+    concl = tuple(equation() for _ in range(n_concl))
+    variables = []
+    for l, r in prem + concl:
+        ulogic.formula_vars(l, variables)
+        ulogic.formula_vars(r, variables)
+    return UniversalSentence(prem, concl, signature, tuple(variables))
+
+
+def random_poset(rng, n):
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = rng.random() < 0.4
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    return FinitePoset(n, leq)
+
+
+def test_eval_sentence_matches_brute_force():
+    rng = random.Random(20261018)
+    S2 = make_standard("S2")
+    outcomes = {"heyting": set(), "modal": set()}
+    for _ in range(300):
+        P = random_poset(rng, rng.randrange(1, 5))
+        if rng.random() < 0.5:
+            alg, signature, names = downset_heyting(P), "heyting", ("p", "q", "r")
+        else:
+            alg = complex_algebra(P)
+            if rng.random() < 0.5:
+                alg = modal_product([alg, S2])
+            signature, names = "modal", ("p", "q")
+        sent = random_sentence(rng, signature, names)
+        want = ref_eval_sentence(alg, sent)
+        assert eval_sentence(alg, sent) == want
+        outcomes[signature].add(want["valid"])
+    assert outcomes == {"heyting": {True, False}, "modal": {True, False}}
+
+
+def test_eval_sentence_least_counterexample_past_the_first_block():
+    # 16 elements, 4 variables: 65,536 assignments; the least one refuting
+    # p = top / q = r has p = top, so it lies far past the first block.
+    alg = downset_heyting(FinitePoset(4, np.eye(4, dtype=bool)))
+    sent = sentence_from_json({"premises": [["p", "top"]], "conclusions": [["q", "r"]]}, "heyting")
+    sent = UniversalSentence(sent.premises, sent.conclusions, "heyting", ("p", "q", "r", "s"))
+    res = eval_sentence(alg, sent)
+    assert res == ref_eval_sentence(alg, sent)
+    assert res["counterexample"] == {"p": alg.top, "q": 0, "r": 1, "s": 0}
