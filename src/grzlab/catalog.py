@@ -145,7 +145,9 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
     if n < 0:
         raise InputError("point count must be nonnegative")
     if n > POSET_POINT_CAP:
-        raise InputError(f"poset enumeration supports at most {POSET_POINT_CAP} points")
+        raise CapExceeded(
+            f"poset enumeration asked for {n} points; POSET_POINT_CAP is {POSET_POINT_CAP}"
+        )
     if n == 0:
         return (FinitePoset(0, np.zeros((0, 0), dtype=bool)),)
     return _extensions(enumerate_posets(n - 1), n)
@@ -180,8 +182,9 @@ def enumerate_topologies(k: int) -> tuple[int, ...]:
     if k < 0:
         raise InputError("point count must be nonnegative")
     if k > TOPOLOGY_POINT_CAP:
-        raise InputError(
-            f"topology enumeration supports at most {TOPOLOGY_POINT_CAP} points"
+        raise CapExceeded(
+            f"topology enumeration asked for {k} points; "
+            f"TOPOLOGY_POINT_CAP is {TOPOLOGY_POINT_CAP}"
         )
     families = np.nonzero(kernels.topology_valid(k))[0]
     subsets = np.arange(1 << k)
@@ -230,7 +233,8 @@ def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
         raise InputError("max_size must be at least 1")
     if max_size - 1 > POSET_POINT_CAP:
         raise CapExceeded(
-            f"max_size {max_size} needs posets beyond {POSET_POINT_CAP} points"
+            f"max_size {max_size} needs posets of {max_size - 1} points; "
+            f"POSET_POINT_CAP is {POSET_POINT_CAP}"
         )
     found: list[tuple[int, int, HeytingAlgebra]] = []
     level = enumerate_posets(0)

@@ -2,8 +2,9 @@
 
 Every verb prints a single JSON report to standard output.  Exit codes:
 0 for success or a holding property, 1 for a violated property, 2 for
-usage and input errors, 3 for an exceeded cap.  Reports are rendered
-with sorted keys, so equal inputs give byte-identical output.
+usage and input errors, 3 for an exceeded cap, 4 for a failed internal
+self-check.  Reports are rendered with sorted keys, so equal inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -286,8 +287,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_catalog_eval(args) -> int:
     K = _catalog_from_args(args)
-    signature = "heyting" if K.kind == "heyting" else "modal"
-    sent = _sentence_from_args(args, signature)
+    sent = _sentence_from_args(args, K.kind)
     res = catalog_validates(K, sent, cap=args.cap)
     _emit(res, args)
     return 0 if res["valid"] else 1
@@ -311,8 +311,7 @@ def _cmd_free(args) -> int:
 
 def _cmd_admissible(args) -> int:
     K = _catalog_from_args(args)
-    signature = "heyting" if K.kind == "heyting" else "modal"
-    sent = _sentence_from_args(args, signature)
+    sent = _sentence_from_args(args, K.kind)
     res = weakly_admissible_k(K, sent, args.k)
     res["sentence"] = sentence_to_json(sent)
     _emit(res, args)
@@ -321,10 +320,7 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_completeness_report(args) -> int:
     K = _catalog_from_args(args)
-    signature = "heyting" if K.kind == "heyting" else "modal"
-    rules = enumerate_rules(
-        signature, args.max_vars, args.max_premises, depth=args.depth
-    )
+    rules = enumerate_rules(K.kind, args.max_vars, args.max_premises, depth=args.depth)
     sentences = [translate(r) for r in rules]
     rep = completeness_report_k(K, sentences, args.k, args.mode)
     _emit(rep, args)
@@ -341,24 +337,16 @@ def _cmd_sigma_free(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     n = args.n
-    if args.what == "posets":
-        if n > catalog_mod.POSET_POINT_CAP:
-            raise CapExceeded(
-                f"poset enumeration capped at {catalog_mod.POSET_POINT_CAP} points"
-            )
-        counts = [len(enumerate_posets(i)) for i in range(n + 1)]
+    if args.what in ("posets", "topologies"):
+        enum, entries = {
+            "posets": (enumerate_posets, poset_entries),
+            "topologies": (enumerate_topologies, interior_entries),
+        }[args.what]
+        # Largest first, so a count past its cap is refused before any work.
+        counts = [len(enum(i)) for i in range(n, -1, -1)][::-1]
         if args.out:
-            catalog_mod.save(args.out, poset_entries(n))
-        doc = {"what": "posets", "n": n, "counts": counts, "total": sum(counts)}
-    elif args.what == "topologies":
-        if n > catalog_mod.TOPOLOGY_POINT_CAP:
-            raise CapExceeded(
-                f"topology enumeration capped at {catalog_mod.TOPOLOGY_POINT_CAP} points"
-            )
-        counts = [len(enumerate_topologies(i)) for i in range(n + 1)]
-        if args.out:
-            catalog_mod.save(args.out, interior_entries(n))
-        doc = {"what": "topologies", "n": n, "counts": counts, "total": sum(counts)}
+            catalog_mod.save(args.out, entries(n))
+        doc = {"what": args.what, "n": n, "counts": counts, "total": sum(counts)}
     else:
         members = enumerate_heyting(n)
         sizes: dict[int, int] = {}

@@ -96,7 +96,7 @@ class FinitePoset:
             return False
         if self.size <= 7:
             return canonical_key(self) == canonical_key(other)
-        return _poset_iso_exists(self, other)
+        return next(relation_isomorphisms(self.leq, other.leq), None) is not None
 
     def to_record(self) -> dict:
         return {
@@ -427,34 +427,41 @@ def poset_from_key(size: int, key: int) -> FinitePoset:
     return FinitePoset(size, mat)
 
 
-def _poset_iso_exists(p1: FinitePoset, p2: FinitePoset) -> bool:
-    n = p1.size
-    deg1 = [(int(p1.leq[:, j].sum()), int(p1.leq[j].sum())) for j in range(n)]
-    deg2 = [(int(p2.leq[:, j].sum()), int(p2.leq[j].sum())) for j in range(n)]
+def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray) -> Iterator[list[int]]:
+    """Every bijection img with r1[a, b] == r2[img[a], img[b]], lazily.
+
+    Degree-pruned backtracking: point i only goes to a point of the same
+    in- and out-degree that agrees with the points placed before it.
+    """
+    if r1.shape != r2.shape:
+        return
+    n = len(r1)
+    rows1, rows2 = r1.tolist(), r2.tolist()
+    deg1 = [(sum(col), sum(row)) for row, col in zip(rows1, zip(*rows1))]
+    deg2 = [(sum(col), sum(row)) for row, col in zip(rows2, zip(*rows2))]
     if sorted(deg1) != sorted(deg2):
-        return False
+        return
     img: list[int] = []
     used = [False] * n
 
-    def extend(i: int) -> bool:
+    def extend(i: int) -> Iterator[list[int]]:
         if i == n:
-            return True
+            yield list(img)
+            return
         for v in range(n):
             if used[v] or deg2[v] != deg1[i]:
                 continue
+            img.append(v)
             if all(
-                p1.leq[a, i] == p2.leq[img[a], v] and p1.leq[i, a] == p2.leq[v, img[a]]
-                for a in range(i)
+                rows1[a][i] == rows2[img[a]][v] and rows1[i][a] == rows2[v][img[a]]
+                for a in range(i + 1)
             ):
                 used[v] = True
-                img.append(v)
-                if extend(i + 1):
-                    return True
-                img.pop()
+                yield from extend(i + 1)
                 used[v] = False
-        return False
+            img.pop()
 
-    return extend(0)
+    yield from extend(0)
 
 
 @dataclass
@@ -616,13 +623,7 @@ def are_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:
     """Isomorphism of valid Heyting algebras, via their irreducible posets."""
     if a.size != b.size:
         return False
-    pa = join_irreducible_poset(a)
-    pb = join_irreducible_poset(b)
-    if pa.size != pb.size:
-        return False
-    if pa.size <= 7:
-        return canonical_key(pa) == canonical_key(pb)
-    return _poset_iso_exists(pa, pb)
+    return join_irreducible_poset(a).is_isomorphic(join_irreducible_poset(b))
 
 
 def heyting_quotient(alg: HeytingAlgebra, u: int) -> tuple[HeytingAlgebra, HeytingHom]:

@@ -184,7 +184,7 @@ def free_algebra(
             raise CapExceeded(f"free algebra has {natoms} atoms, cap is {ATOM_CAP}")
         if n != 1 << natoms:
             raise InternalCheckError("closure size is not a power of two")
-        atom_rows = np.array(list(atoms.values()), dtype=np.int64).reshape(natoms, -1)
+        atom_rows = np.array(list(atoms.values()), dtype=np.int64).reshape(natoms, E.shape[1])
         atom_rows = atom_rows[np.lexsort(atom_rows.T[::-1])]
 
         def masks_of(rows):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InputError, InternalCheckError
-from .finlat import derived
+from .finlat import derived, relation_isomorphisms
 
 ATOM_CAP = 12
 
@@ -233,71 +233,52 @@ def require_grz(alg: ModalAlgebra) -> None:
 # Filters and quotients
 
 
-@dataclass
+@dataclass(frozen=True)
 class Filter:
-    """A filter given by its member set; open filters are box-closed."""
+    """A filter, stored by its least element ``bottom``.
+
+    Every filter of a finite algebra is principal: its members are the
+    elements above ``bottom``.  An open filter also needs box(bottom) =
+    bottom, which makes it closed under box.
+    """
 
     algebra: ModalAlgebra
-    members: frozenset[int]
+    bottom: int
     kind: str  # "boolean" | "open"
+
+    def __contains__(self, b: int) -> bool:
+        return b & self.bottom == self.bottom
 
     def validate(self) -> list[str]:
         out: list[str] = []
         alg = self.algebra
         if self.kind not in ("boolean", "open"):
             out.append(f"unknown filter kind {self.kind!r}")
-        if any(not 0 <= m <= alg.top for m in self.members):
-            out.append("member outside the carrier")
-            return out
-        if alg.top not in self.members:
-            out.append("top missing")
-        for m in self.members:
-            for b in range(alg.size):
-                if m & b == m and b not in self.members:
-                    out.append(f"not upward closed at ({m}, {b})")
-                    break
-            else:
-                continue
-            break
-        for m in self.members:
-            for b in self.members:
-                if m & b not in self.members:
-                    out.append(f"not meet closed at ({m}, {b})")
-                    break
-            else:
-                continue
-            break
-        if self.kind == "open":
-            for m in self.members:
-                if int(alg.box[m]) not in self.members:
-                    out.append(f"not box closed at {m}")
-                    break
+        if not 0 <= self.bottom <= alg.top:
+            out.append("least element outside the carrier")
+        elif self.kind == "open" and not alg.is_open(self.bottom):
+            out.append(f"not box closed at {self.bottom}")
         return out
 
     def least(self) -> int:
-        out = self.algebra.top
-        for m in self.members:
-            out &= m
-        return out
-
-
-def upset_filter(alg: ModalAlgebra, a: int, kind: str = "boolean") -> Filter:
-    members = frozenset(b for b in range(alg.size) if a & b == a)
-    return Filter(alg, members, kind)
+        return self.bottom
 
 
 def open_filter(alg: ModalAlgebra, a: int) -> Filter:
     """The least open filter containing a: everything above box(a)."""
-    return upset_filter(alg, int(alg.box[a]), "open")
+    return Filter(alg, int(alg.box[a]), "open")
 
 
 def open_filters(alg: ModalAlgebra) -> list[Filter]:
     """All open filters, one per open element, by increasing least element."""
-    return [upset_filter(alg, u, "open") for u in alg.open_elements()]
+    return [Filter(alg, u, "open") for u in alg.open_elements()]
 
 
 def quotient(alg: ModalAlgebra, filt: Filter) -> tuple[ModalAlgebra, "Homomorphism"]:
-    """Quotient by an open filter, realized on the atoms under its least element."""
+    """Quotient by an open filter, realized on the atoms under its least element u.
+
+    a ~ b iff a ∧ u = b ∧ u, and box relativizes to box(a) ∧ u.
+    """
     if filt.algebra is not alg:
         raise InputError("filter belongs to a different algebra")
     if filt.kind != "open":
@@ -305,29 +286,9 @@ def quotient(alg: ModalAlgebra, filt: Filter) -> tuple[ModalAlgebra, "Homomorphi
     bad = filt.validate()
     if bad:
         raise InputError(f"invalid filter: {bad}")
-    u = filt.least()
-    bits = [i for i in range(alg.atoms) if (u >> i) & 1]
-
-    def compress(b: int) -> int:
-        out = 0
-        for t, i in enumerate(bits):
-            if (b >> i) & 1:
-                out |= 1 << t
-        return out
-
-    def expand(t: int) -> int:
-        out = 0
-        for pos, i in enumerate(bits):
-            if (t >> pos) & 1:
-                out |= 1 << i
-        return out
-
-    q_size = 1 << len(bits)
-    q_box = np.zeros(q_size, dtype=np.int64)
-    for t in range(q_size):
-        q_box[t] = compress(int(alg.box[expand(t)]) & u)
-    q = ModalAlgebra(len(bits), q_box)
-    values = {b: compress(b & u) for b in range(alg.size)}
+    blocks = [1 << i for i in range(alg.atoms) if (filt.bottom >> i) & 1]
+    q = _on_blocks(alg, blocks)
+    values = {b: _encode(b, blocks) for b in range(alg.size)}
     return q, Homomorphism(alg, q, "modal", values)
 
 
@@ -493,7 +454,10 @@ def _encode(e: int, blocks) -> int:
 def _on_blocks(alg: ModalAlgebra, blocks) -> ModalAlgebra:
     """The algebra whose atoms are the given disjoint blocks of alg.
 
-    Box must send every union of the blocks to a union of them.
+    Box is read relative to the union u of the blocks, box(e) ∧ u, which
+    must be a union of them: for a partition of the atoms this is the
+    subalgebra on the blocks, for blocks under an open u the quotient by
+    the filter above u.
     """
     box = np.zeros(1 << len(blocks), dtype=np.int64)
     for t in range(1 << len(blocks)):
@@ -755,27 +719,29 @@ def _hom_search(
 
 
 def are_isomorphic(a: ModalAlgebra, b: ModalAlgebra) -> bool:
-    """Modal isomorphism via atom permutations."""
+    """Modal isomorphism, searched among the isomorphisms of the atom relations.
+
+    An isomorphism permutes the atoms and carries the accessibility relation
+    R_a onto R_b, so only relation isomorphisms are candidates.  Each is
+    checked on the whole box table: on K algebras R determines box and the
+    first candidate passes, and other tables are still decided soundly.
+    """
     if a.atoms != b.atoms:
         return False
-    for perm in itertools.permutations(range(a.atoms)):
-        ok = True
-        for e in range(a.size):
-            pe = _apply_perm(e, perm)
-            if _apply_perm(int(a.box[e]), perm) != int(b.box[pe]):
-                ok = False
-                break
-        if ok:
+    masks = np.arange(a.size, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(a.atoms)) & 1  # [e, i]: atom i lies in e
+    for perm in relation_isomorphisms(_accessibility(a), _accessibility(b)):
+        moved = bits @ (1 << np.array(perm, dtype=np.int64))  # every mask, permuted
+        if np.array_equal(moved[a.box], b.box[moved]):
             return True
     return False
 
 
-def _apply_perm(mask: int, perm) -> int:
-    out = 0
-    for i, p in enumerate(perm):
-        if (mask >> i) & 1:
-            out |= 1 << p
-    return out
+def _accessibility(alg: ModalAlgebra) -> np.ndarray:
+    """R[x, y] = x ∉ box(¬{y})."""
+    points = np.arange(alg.atoms, dtype=np.int64)
+    coatom_boxes = alg.box[alg.top ^ (1 << points)]
+    return (coatom_boxes[None, :] >> points[:, None]) & 1 == 0
 
 
 def modal_product(factors: list[ModalAlgebra], cap: int = ATOM_CAP) -> ModalAlgebra:
@@ -822,7 +788,7 @@ def _maximal_open_filter(alg: ModalAlgebra, a: int) -> Filter:
     minimal = [
         u for u in candidates if not any(v != u and v & u == v for v in candidates)
     ]
-    return upset_filter(alg, min(minimal), "open")
+    return Filter(alg, min(minimal), "open")
 
 
 def stable_witness_construct(alg: ModalAlgebra, a: int) -> Homomorphism:
@@ -848,17 +814,9 @@ def stable_witness_construct(alg: ModalAlgebra, a: int) -> Homomorphism:
     a1 = proj1(a)
 
     w = m1.top ^ int(m1.box[a1])
-    bits = [i for i in range(m1.atoms) if (w >> i) & 1]
-    m = len(bits)
-
-    def compress(b: int) -> int:
-        out = 0
-        for t, i in enumerate(bits):
-            if (b >> i) & 1:
-                out |= 1 << t
-        return out
-
-    a2 = compress(a1 & w)
+    w_blocks = [1 << i for i in range(m1.atoms) if (w >> i) & 1]
+    m = len(w_blocks)
+    a2 = _encode(a1, w_blocks)
     if not (0 < a2 < (1 << m) - 1):
         raise InternalCheckError("image of a is not strictly between the bounds")
 
@@ -876,7 +834,7 @@ def stable_witness_construct(alg: ModalAlgebra, a: int) -> Homomorphism:
     if best is None:
         raise InternalCheckError("no Boolean surjection with a coatom image exists")
 
-    values = {b: best[compress(proj1(b) & w)] for b in range(alg.size)}
+    values = {b: best[_encode(proj1(b), w_blocks)] for b in range(alg.size)}
     hom = Homomorphism(alg, s2, "stable", values)
     problems = hom.verify()
     if problems or not hom.surjective or values[a] not in (1, 2):
@@ -982,8 +940,7 @@ def blok_characterization(alg: ModalAlgebra) -> BlokResult:
     n_elems = [b for b in range(alg.size) if proj1(b) in p_elems]
     n_sub = subalgebra_from_elements(alg, n_elems)
     n_alg, enc, _ = subalgebra_as_algebra(n_sub)
-    u_g = g_filter.least()
-    filt = upset_filter(n_alg, enc[u_g], "open")
+    filt = Filter(n_alg, enc[g_filter.bottom], "open")
     q, proj = quotient(n_alg, filt)
     target = make_standard(target_name)
     isos = hom_search(q, target, kind="modal", mode="iso")

@@ -38,6 +38,7 @@ from .finlat import (
 from .finlat import are_isomorphic as heyting_isomorphic
 from .freealg import completeness_report_k, free_algebra, sigma_free_checks, verify_ump
 from .modal import (
+    Filter,
     all_boolean_subalgebras,
     all_modal_subalgebras,
     blok_characterization,
@@ -51,7 +52,6 @@ from .modal import (
     quotient,
     stable_witness_construct,
     subalgebra_as_algebra,
-    upset_filter,
     validate_modal,
 )
 from .modal import are_isomorphic as modal_isomorphic
@@ -252,7 +252,7 @@ def check_criterion_7(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]
         for u in range(H.size):
             Hq, _ = heyting_quotient(H, u)
             B1, _ = boolean_extension(Hq)
-            Q, _ = quotient(BH, upset_filter(BH, emb[u], "open"))
+            Q, _ = quotient(BH, Filter(BH, emb[u], "open"))
             if not modal_isomorphic(B1, Q):
                 return False, f"B-quotient case fails at u={u}"
             b_cases += 1

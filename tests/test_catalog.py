@@ -27,7 +27,7 @@ def test_posets_are_canonical_and_valid():
 
 
 def test_poset_enumeration_caps():
-    with pytest.raises(InputError):
+    with pytest.raises(CapExceeded, match="8 points; POSET_POINT_CAP is 7"):
         catalog.enumerate_posets(8)
     with pytest.raises(InputError):
         catalog.enumerate_posets(-1)
@@ -37,8 +37,10 @@ def test_topology_counts_by_point():
     # 1, 1, 3, 9, 33 topologies on 0..4 points up to homeomorphism
     for k, want in enumerate([1, 1, 3, 9, 33]):
         assert len(catalog.enumerate_topologies(k)) == want
-    with pytest.raises(InputError):
+    with pytest.raises(CapExceeded, match="5 points; TOPOLOGY_POINT_CAP is 4"):
         catalog.enumerate_topologies(5)
+    with pytest.raises(InputError):
+        catalog.enumerate_topologies(-1)
 
 
 def test_two_point_topologies():

@@ -272,6 +272,22 @@ def test_completeness_report_refuses_depth_3_before_building_it(capsys, monkeypa
     assert f"RULE_CAP is {ulogic.RULE_CAP}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--what", "posets", "--n", "8"),
+        ("enumerate", "--what", "topologies", "--n", "5"),
+        ("catalog-eval", "--interior", "5", "/ p"),
+        ("free", "--interior", "5", "--k", "1"),
+        ("completeness-report", "--interior", "5", "--k", "1"),
+    ],
+)
+def test_catalog_building_verbs_refuse_past_the_enumeration_caps(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "_POINT_CAP is" in err
+
+
 def test_internal_check_failure_exits_4(capsys, tmp_path, monkeypatch):
     from grzlab import bridge
     from grzlab.errors import InternalCheckError

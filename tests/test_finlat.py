@@ -1,5 +1,8 @@
 """Posets, Heyting tables, homomorphisms, quotients, products."""
 
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -233,3 +236,32 @@ def test_record_rejects_malformed_input():
         HeytingAlgebra.from_record({**rec, "bot": 5})
     with pytest.raises(InputError):
         HeytingAlgebra.from_record({**rec, "size": 0})
+
+
+def test_poset_isomorphism_past_seven_points_matches_networkx():
+    # Past 7 points is_isomorphic backtracks over relation isomorphisms
+    # instead of comparing canonical keys.
+    rng = random.Random(20261022)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.choice([8, 9])
+        a, b = (random_poset(rng, n) for _ in range(2))
+        if rng.random() < 0.4:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            b = FinitePoset(n, a.leq[np.ix_(perm, perm)])
+        want = nx.is_isomorphic(nx.DiGraph(a.leq), nx.DiGraph(b.leq))
+        assert a.is_isomorphic(b) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def random_poset(rng, n):
+    """A seeded random poset: random upper-triangular relation, closed."""
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = rng.random() < 0.25
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    return FinitePoset(n, leq)

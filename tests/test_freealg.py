@@ -23,7 +23,7 @@ from grzlab.freealg import (
     verify_ump,
     weakly_admissible_k,
 )
-from grzlab.modal import complex_algebra, make_standard, validate_modal
+from grzlab.modal import complex_algebra, make_standard, trivial_modal, validate_modal
 from grzlab.ulogic import And, Box, Const, Imp, Not, Or, Var, parse_rule, to_text, translate
 
 
@@ -260,6 +260,8 @@ NAIVE_CASES = [
     ("modal", (make_standard("S2"),), 1),
     ("modal", (make_standard("S12"),), 1),
     ("modal", (make_standard("S2"), make_standard("S12")), 1),
+    ("modal", (trivial_modal(),), 1),
+    ("heyting", (trivial_heyting(),), 1),
 ]
 
 

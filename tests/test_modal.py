@@ -1,13 +1,15 @@
 """Modal algebras: axioms, filters, subalgebras, homs, the two standards."""
 
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 from grzlab.catalog import interior_catalog
 from grzlab.errors import CapExceeded, InputError
-from grzlab.finlat import antichain_poset, chain_poset
+from grzlab.finlat import FinitePoset, antichain_poset, chain_poset
 from grzlab.modal import (
     BooleanSubalgebra,
     Filter,
@@ -35,7 +37,6 @@ from grzlab.modal import (
     subalgebra_as_algebra,
     subalgebra_from_elements,
     trivial_modal,
-    upset_filter,
     validate_modal,
 )
 
@@ -98,35 +99,35 @@ def test_open_filters_and_least():
     assert [f.least() for f in filts] == [0, 4, 7]
     assert all(f.validate() == [] for f in filts)
     assert open_filter(s12, 5).least() == 4
-    assert upset_filter(s12, 4, "open").members == frozenset({4, 5, 6, 7})
+    above = Filter(s12, 4, "open")
+    assert [b for b in range(s12.size) if b in above] == [4, 5, 6, 7]
 
 
 def test_filter_validate_flags_problems():
     s2 = make_standard("S2")
-    assert any(
-        "box closed" in msg
-        for msg in Filter(s2, frozenset({1, 3}), "open").validate()
-    )
-    assert any(
-        "top missing" in msg for msg in Filter(s2, frozenset({1}), "bogus").validate()
-    )
+    assert Filter(s2, 1, "open").validate() == ["not box closed at 1"]
+    assert Filter(s2, 1, "boolean").validate() == []
+    assert Filter(s2, 3, "bogus").validate() == ["unknown filter kind 'bogus'"]
+    assert Filter(s2, 4, "boolean").validate() == ["least element outside the carrier"]
 
 
 def test_quotient_by_open_filter():
     s12 = make_standard("S12")
-    q, proj = quotient(s12, upset_filter(s12, 4, "open"))
+    q, proj = quotient(s12, Filter(s12, 4, "open"))
     assert q.atoms == 1 and q.box.tolist() == [0, 1]
     assert proj.verify() == [] and proj.surjective
     assert proj(7) == 1 and proj(3) == 0
 
     # quotient by the improper filter collapses everything
-    q, proj = quotient(s12, upset_filter(s12, 0, "open"))
+    q, proj = quotient(s12, Filter(s12, 0, "open"))
     assert q.size == 1
 
     with pytest.raises(InputError):
-        quotient(s12, upset_filter(s12, 4, "boolean"))
+        quotient(s12, Filter(s12, 4, "boolean"))
     with pytest.raises(InputError):
-        quotient(make_standard("S2"), upset_filter(s12, 4, "open"))
+        quotient(make_standard("S2"), Filter(s12, 4, "open"))
+    with pytest.raises(InputError):
+        quotient(s12, Filter(s12, 5, "open"))
 
 
 def test_classify_structure():
@@ -331,3 +332,188 @@ def test_verify_meet_witness_matches_the_loop():
         h = Homomorphism(M, M, "boolean", values)
         want = loop_meet_witness(h)
         assert want and [w for w in h.verify() if w[0] == "meet"] == want
+
+
+# ---------------------------------------------------------------------------
+# Filters by least element, quotients on blocks and isomorphism through the
+# accessibility relation, against the member-set, bit-loop and permutation
+# references they replaced
+
+
+def reference_filter_problems(alg, members, kind):
+    """The member-set check: top, upward, meet and box closure, by loops."""
+    out = []
+    if kind not in ("boolean", "open"):
+        out.append(f"unknown filter kind {kind!r}")
+    if any(not 0 <= m <= alg.top for m in members):
+        return out + ["member outside the carrier"]
+    if alg.top not in members:
+        out.append("top missing")
+    if any(m & b == m and b not in members for m in members for b in range(alg.size)):
+        out.append("not upward closed")
+    if any(m & b not in members for m in members for b in members):
+        out.append("not meet closed")
+    if kind == "open" and any(int(alg.box[m]) not in members for m in members):
+        out.append("not box closed")
+    return out
+
+
+def reference_quotient(alg, u):
+    """Box table and projection of the quotient above u, through bit loops."""
+    bits = [i for i in range(alg.atoms) if (u >> i) & 1]
+
+    def compress(b):
+        return sum(1 << t for t, i in enumerate(bits) if (b >> i) & 1)
+
+    def expand(t):
+        return sum(1 << i for pos, i in enumerate(bits) if (t >> pos) & 1)
+
+    box = [compress(int(alg.box[expand(t)]) & u) for t in range(1 << len(bits))]
+    return box, [compress(b & u) for b in range(alg.size)]
+
+
+def move(mask, perm):
+    return sum(1 << p for i, p in enumerate(perm) if (mask >> i) & 1)
+
+
+def reference_isomorphic(a, b):
+    """Every atom permutation, checked on the whole box table."""
+    if a.atoms != b.atoms:
+        return False
+    abox, bbox = a.box.tolist(), b.box.tolist()
+    return any(
+        all(move(abox[e], perm) == bbox[move(e, perm)] for e in range(a.size))
+        for perm in itertools.permutations(range(a.atoms))
+    )
+
+
+def relabel(alg, perm):
+    """alg with atom i renamed perm[i]."""
+    box = [0] * alg.size
+    for e in range(alg.size):
+        box[move(e, perm)] = move(int(alg.box[e]), perm)
+    return ModalAlgebra(alg.atoms, np.array(box, dtype=np.int64))
+
+
+def random_poset(rng, n):
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = rng.random() < 0.3
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    return FinitePoset(n, leq)
+
+
+def reference_inputs():
+    """interior_catalog(4), and two seeded random posets of each size 1-8,
+    alone and times S2."""
+    rng = random.Random(20261019)
+    algs = list(interior_catalog(4).members)
+    for n in [n for n in range(1, 9) for _ in range(2)]:
+        P = complex_algebra(random_poset(rng, n))
+        algs += [P, modal_product([P, make_standard("S2")])]
+    return algs
+
+
+def test_filter_validate_matches_the_member_set_check():
+    for M in interior_catalog(4).members:
+        for u in range(M.size):
+            members = frozenset(b for b in range(M.size) if u & b == u)
+            for kind in ("boolean", "open"):
+                filt = Filter(M, u, kind)
+                assert frozenset(b for b in range(M.size) if b in filt) == members
+                want = reference_filter_problems(M, members, kind)
+                assert (filt.validate() == []) == (want == [])
+
+
+def test_quotient_matches_the_bit_loops():
+    standards = [make_standard("S2"), make_standard("S12")]
+    for M in reference_inputs():
+        for filt in open_filters(M):
+            q, proj = quotient(M, filt)
+            want_box, want_values = reference_quotient(M, filt.least())
+            assert q.box.tolist() == want_box
+            assert proj.table() == want_values
+            if q.atoms <= 3:
+                for std in standards:
+                    assert are_isomorphic(q, std) == reference_isomorphic(q, std)
+
+
+def test_are_isomorphic_matches_the_permutation_loop():
+    small = list(interior_catalog(3).members) + [make_standard("S2"), make_standard("S12")]
+    four = [M for M in interior_catalog(4).members if M.atoms == 4]
+    for group in (small, four):
+        for a, b in itertools.product(group, repeat=2):
+            assert are_isomorphic(a, b) == reference_isomorphic(a, b)
+    rng = random.Random(20261020)
+    for M in reference_inputs():
+        perm = list(range(M.atoms))
+        rng.shuffle(perm)
+        N = relabel(M, perm)
+        assert are_isomorphic(M, N) and are_isomorphic(N, M)
+        if M.atoms <= 5:
+            assert reference_isomorphic(M, N)
+
+
+def test_are_isomorphic_checks_the_whole_table_when_not_k():
+    # box of the coatoms, hence the relation, is that of the discrete
+    # algebra, but box of one atom is bottom: not K, and only the
+    # permutations that move the killed atom onto the other one qualify
+    discrete = complex_algebra(antichain_poset(3))
+    kill_0 = ModalAlgebra(3, np.array([0, 0, 2, 3, 4, 5, 6, 7], dtype=np.int64))
+    kill_1 = ModalAlgebra(3, np.array([0, 1, 0, 3, 4, 5, 6, 7], dtype=np.int64))
+    assert not validate_modal(kill_0).k
+    for a, b, want in ((kill_0, kill_1, True), (kill_0, discrete, False), (kill_1, kill_1, True)):
+        assert are_isomorphic(a, b) == reference_isomorphic(a, b) == want
+
+
+def preorder_algebra(n, arrows):
+    """box(S) = the points whose successors all lie in S, for the preorder
+    generated by the arrows (x, y): x sees y."""
+    rel = np.eye(n, dtype=bool)
+    for x, y in arrows:
+        rel[x, y] = True
+    for k in range(n):
+        rel |= rel[:, [k]] & rel[[k], :]
+    masks = np.arange(1 << n, dtype=np.int64)
+    box = np.zeros(1 << n, dtype=np.int64)
+    for x in range(n):
+        succ = sum(1 << int(y) for y in np.nonzero(rel[x])[0])
+        box[(masks & succ) == succ] |= 1 << x
+    return ModalAlgebra(n, box)
+
+
+def test_filters_quotient_and_isomorphism_at_the_atom_cap():
+    def timed(fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        assert time.perf_counter() - start < 0.5, fn
+        return out
+
+    D = complex_algebra(antichain_poset(12))
+    filts = timed(open_filters, D)
+    assert len(filts) == D.size and filts[0].least() == 0
+    assert timed(filts[0].validate) == []
+    assert timed(quotient, D, filts[0])[0].size == 1
+    assert timed(quotient, D, filts[-1])[0].atoms == 12
+
+    C = complex_algebra(chain_poset(12))
+    perm = list(range(12))
+    random.Random(20261021).shuffle(perm)
+    assert timed(are_isomorphic, C, relabel(C, perm))
+
+    # Two-atom clusters c (atoms 2c, 2c+1) seen by the points 8 + j: point j
+    # sees clusters j and j+1 around one cycle, or clusters {0, 1} and {2, 3}
+    # in two blocks.  Same degrees, not isomorphic (one component or two).
+    mates = [(2 * c, 2 * c + 1) for c in range(4)] + [(2 * c + 1, 2 * c) for c in range(4)]
+
+    def seen(clusters_of):
+        arrows = [(8 + j, a) for j in range(4) for c in clusters_of(j) for a in (2 * c, 2 * c + 1)]
+        return preorder_algebra(12, mates + arrows)
+
+    cycle = seen(lambda j: (j, (j + 1) % 4))
+    blocks = seen(lambda j: (j & 2, (j & 2) + 1))
+    assert validate_modal(cycle).interior and validate_modal(blocks).interior
+    assert not timed(are_isomorphic, cycle, blocks)
+    assert timed(are_isomorphic, blocks, relabel(blocks, perm))
