@@ -238,6 +238,17 @@ def test_record_rejects_malformed_input():
         HeytingAlgebra.from_record({**rec, "size": 0})
 
 
+def random_poset(rng, n):
+    """A seeded random poset: random upper-triangular relation, closed."""
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i, j] = rng.random() < 0.25
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    return FinitePoset(n, leq)
+
+
 def test_poset_isomorphism_past_seven_points_matches_networkx():
     # Past 7 points is_isomorphic backtracks over relation isomorphisms
     # instead of comparing canonical keys.
@@ -254,14 +265,3 @@ def test_poset_isomorphism_past_seven_points_matches_networkx():
         assert a.is_isomorphic(b) == want
         outcomes.add(want)
     assert outcomes == {True, False}
-
-
-def random_poset(rng, n):
-    """A seeded random poset: random upper-triangular relation, closed."""
-    leq = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            leq[i, j] = rng.random() < 0.25
-    for k in range(n):
-        leq |= leq[:, [k]] & leq[[k], :]
-    return FinitePoset(n, leq)
