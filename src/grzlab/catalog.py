@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +38,18 @@ TOPOLOGY_POINT_CAP = 4
 _DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraCatalog:
-    """A finite homogeneous family of algebras, read as its generated class."""
+    """A finite homogeneous family of algebras, read as its generated class.
+
+    The fields cannot be rebound, so derived values (the layout of a
+    sentence scan) are cached per instance, as on the algebras.
+    """
 
     kind: str  # "heyting" | "modal"
     members: tuple
     name: str = ""
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("heyting", "modal"):
@@ -52,7 +57,7 @@ class AlgebraCatalog:
         want = HeytingAlgebra if self.kind == "heyting" else ModalAlgebra
         if any(not isinstance(m, want) for m in self.members):
             raise InputError(f"catalog members must all be {self.kind} algebras")
-        self.members = tuple(self.members)
+        object.__setattr__(self, "members", tuple(self.members))
 
 
 @dataclass

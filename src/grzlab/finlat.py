@@ -26,18 +26,20 @@ ELEMENT_CAP = 4096
 MODES = ("any", "injective", "surjective", "iso")
 
 
-def derived(obj, build):
-    """``build(obj)``, computed once per instance and kept in ``obj._derived``.
+def derived(obj, build, *args):
+    """``build(obj, *args)``, computed once per instance and kept in ``obj._derived``.
 
-    The store is keyed by the function, so each derived value has one slot.
-    A refusal raised by ``build`` is not stored: the next call raises again.
-    Callers hand out copies of mutable values, never the stored object.
+    The store is keyed by the function and the arguments, so each derived
+    value has one slot.  A refusal raised by ``build`` is not stored: the
+    next call raises again.  Callers hand out copies of mutable values,
+    never the stored object.
     """
     store = obj._derived
+    key = (build, *args)
     try:
-        return store[build]
+        return store[key]
     except KeyError:
-        value = store[build] = build(obj)
+        value = store[key] = build(obj, *args)
         return value
 
 
@@ -427,11 +429,13 @@ def poset_from_key(size: int, key: int) -> FinitePoset:
     return FinitePoset(size, mat)
 
 
-def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray) -> Iterator[list[int]]:
+def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray, fits=None) -> Iterator[list[int]]:
     """Every bijection img with r1[a, b] == r2[img[a], img[b]], lazily.
 
     Degree-pruned backtracking: point i only goes to a point of the same
-    in- and out-degree that agrees with the points placed before it.
+    in- and out-degree that agrees with the points placed before it.  When
+    given, ``fits(img)`` is asked after each placement too, with the images
+    of points 0..i, and a False prunes that partial map.
     """
     if r1.shape != r2.shape:
         return
@@ -455,7 +459,7 @@ def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray) -> Iterator[list[int]]
             if all(
                 rows1[a][i] == rows2[img[a]][v] and rows1[i][a] == rows2[v][img[a]]
                 for a in range(i + 1)
-            ):
+            ) and (fits is None or fits(img)):
                 used[v] = True
                 yield from extend(i + 1)
                 used[v] = False
@@ -544,11 +548,7 @@ def _heyting_hom_search(
             return
         forced[k] = v
 
-    ops = [
-        (source.meet, target.meet),
-        (source.join, target.join),
-        (source.imp, target.imp),
-    ]
+    ops = list(zip(derived(source, _table_lists), derived(target, _table_lists)))
     deferred = derived(source, _deferred_checks)
 
     img = [-1] * n1
@@ -560,16 +560,16 @@ def _heyting_hom_search(
     def consistent(i: int, v: int) -> bool:
         img[i] = v
         try:
-            for oi, (t1, t2) in enumerate(ops):
+            for t1, t2 in ops:
                 for a in range(i + 1):
-                    r = int(t1[a, i])
-                    if r <= i and t2[img[a], v] != img[r]:
+                    r = t1[a][i]
+                    if r <= i and t2[img[a]][v] != img[r]:
                         return False
-                    r = int(t1[i, a])
-                    if r <= i and t2[v, img[a]] != img[r]:
+                    r = t1[i][a]
+                    if r <= i and t2[v][img[a]] != img[r]:
                         return False
             for oi, a, b in deferred[i]:
-                if ops[oi][1][img[a], img[b]] != v:
+                if ops[oi][1][img[a]][img[b]] != v:
                     return False
             return True
         finally:
@@ -602,6 +602,11 @@ def _heyting_hom_search(
     yield from search(0)
 
 
+def _table_lists(alg: HeytingAlgebra) -> tuple[list[list[int]], ...]:
+    """The meet, join and imp tables as nested lists, for scalar reads."""
+    return alg.meet.tolist(), alg.join.tolist(), alg.imp.tolist()
+
+
 def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per element r, the (op, a, b) with op(a, b) = r > max(a, b).
 
@@ -610,10 +615,10 @@ def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int]
     """
     n = source.size
     deferred: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for oi, t1 in enumerate((source.meet, source.join, source.imp)):
+    for oi, t1 in enumerate(derived(source, _table_lists)):
         for a in range(n):
             for b in range(n):
-                r = int(t1[a, b])
+                r = t1[a][b]
                 if r > max(a, b):
                     deferred[r].append((oi, a, b))
     return tuple(tuple(d) for d in deferred)

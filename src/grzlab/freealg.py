@@ -30,11 +30,10 @@ from .ulogic import (
     Or,
     UniversalSentence,
     Var,
-    catalog_validates,
+    assignment_layout,
     eval_formula,
-    eval_sentence,
+    refutations,
     sentence_to_json,
-    term_ops,
 )
 
 COORD_CAP = 64
@@ -74,20 +73,12 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     elements.  Returns the interned row keys and terms, the key index, the
     ops, and the rows of bot, top and the generators.
     """
-    counts = [A.size**k for A in K.members]
-    ops = term_ops(K.members, counts)
-    local = np.concatenate(
-        [
-            np.array(list(itertools.product(range(A.size), repeat=k)), dtype=np.int64)
-            .reshape(A.size**k, k)
-            for A in K.members
-        ]
-    )
-    fixed = np.zeros((2 + k, local.shape[0]), dtype=np.int64)
+    ncoords = sum(A.size**k for A in K.members)
+    ops, digits = assignment_layout(K, k, len(K.members), 0, ncoords)
+    fixed = np.zeros((2 + k, ncoords), dtype=np.int64)
     fixed[0] += ops.bot
     fixed[1] += ops.top
-    for i in range(k):
-        fixed[2 + i] = ops.embed(local[:, i])
+    fixed[2:] = np.reshape(digits, (k, ncoords))
 
     index: dict[bytes, int] = {}
     keys: list[bytes] = []
@@ -237,7 +228,8 @@ def weakly_admissible_k(K: AlgebraCatalog, v: UniversalSentence, k: int) -> dict
     expected = "heyting" if K.kind == "heyting" else "modal"
     if v.signature != expected:
         raise InputError("sentence signature does not match the catalog")
-    kept = tuple(A for A in K.members if eval_sentence(A, v)["valid"])
+    failing = dict(refutations(K, v))
+    kept = tuple(A for i, A in enumerate(K.members) if i not in failing)
     restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
     free = free_algebra(K, k)
     res = class_membership(free.algebra, restricted, "quasivariety")
@@ -269,9 +261,8 @@ def completeness_report_k(
     for v in candidates:
         if mode == "structural" and len(v.conclusions) != 1:
             raise InputError("structural mode admits only single-conclusion candidates")
-        per_member = tuple(
-            eval_sentence(A, v)["valid"] for A in K.members
-        )
+        failing = dict(refutations(K, v))
+        per_member = tuple(i not in failing for i in range(len(K.members)))
         if per_member not in memo:
             kept = tuple(A for b, A in zip(per_member, K.members) if b)
             restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
@@ -279,12 +270,9 @@ def completeness_report_k(
                 free.algebra, restricted, "quasivariety"
             )["holds"]
         admissible = memo[per_member]
-        valid = all(per_member)
-        if admissible and not valid:
-            res = catalog_validates(K, v)
+        if admissible and failing:
             record = sentence_to_json(v)
-            record["failing_member"] = res["failing_member"]
-            record["counterexample"] = res["counterexample"]
+            record["failing_member"], record["counterexample"] = next(iter(failing.items()))
             violations.append(record)
     return {
         "mode": mode,

@@ -722,19 +722,44 @@ def are_isomorphic(a: ModalAlgebra, b: ModalAlgebra) -> bool:
     """Modal isomorphism, searched among the isomorphisms of the atom relations.
 
     An isomorphism permutes the atoms and carries the accessibility relation
-    R_a onto R_b, so only relation isomorphisms are candidates.  Each is
-    checked on the whole box table: on K algebras R determines box and the
-    first candidate passes, and other tables are still decided soundly.
+    R_a onto R_b, so only relation isomorphisms are candidates; on K
+    algebras R determines box and the first candidate passes.  Other tables
+    are pruned while the atoms are placed: atom i only goes to an atom with
+    the same box profile, and each element e is checked, box_b of its image
+    against the image of box_a(e), as soon as every atom of e and of box_a(e)
+    is placed.  Every element is checked once on a full map, so the answer
+    is decided on the whole table.
     """
     if a.atoms != b.atoms:
         return False
-    masks = np.arange(a.size, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(a.atoms)) & 1  # [e, i]: atom i lies in e
-    for perm in relation_isomorphisms(_accessibility(a), _accessibility(b)):
-        moved = bits @ (1 << np.array(perm, dtype=np.int64))  # every mask, permuted
-        if np.array_equal(moved[a.box], b.box[moved]):
-            return True
-    return False
+    prof_a, prof_b = _box_profile(a), _box_profile(b)
+    if sorted(prof_a) != sorted(prof_b):
+        return False
+    box_a, box_b = a.box.tolist(), b.box.tolist()
+    if not a.atoms:
+        return box_a == box_b
+    due: list[list[int]] = [[] for _ in range(a.atoms)]
+    for e, be in enumerate(box_a):
+        due[max((e | be).bit_length() - 1, 0)].append(e)
+    moved = [0] * a.size  # moved[e]: image of e, once its atoms are placed
+
+    def fits(img: list[int]) -> bool:
+        i = len(img) - 1
+        if prof_a[i] != prof_b[img[i]]:
+            return False
+        low, bit = 1 << i, 1 << img[i]
+        for e in range(low, 2 * low):
+            moved[e] = moved[e - low] | bit
+        return all(box_b[moved[e]] == moved[box_a[e]] for e in due[i])
+
+    return next(relation_isomorphisms(_accessibility(a), _accessibility(b), fits), None) is not None
+
+
+def _box_profile(alg: ModalAlgebra) -> list[tuple[int, int]]:
+    """Per atom x, how many elements with and without x have x in their box."""
+    bits = (np.arange(alg.size, dtype=np.int64)[:, None] >> np.arange(alg.atoms)) & 1
+    boxed = bits[alg.box]
+    return list(zip((bits & boxed).sum(axis=0).tolist(), ((1 - bits) & boxed).sum(axis=0).tolist()))
 
 
 def _accessibility(alg: ModalAlgebra) -> np.ndarray:

@@ -9,15 +9,17 @@ least counterexample, so results are reproducible down to the witness.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import AlgebraCatalog
 from .errors import CapExceeded, InputError, ParseError
-from .finlat import HeytingAlgebra
+from .finlat import HeytingAlgebra, derived
 from .modal import ModalAlgebra
 
 EVAL_CAP = 10**7
@@ -107,23 +109,29 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     return ctor(substitute(f.left, mapping), substitute(f.right, mapping))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
-    """Premise and conclusion formula sets, kept in written order."""
+    """Premise and conclusion formula sets, kept in written order.
+
+    ``variables`` lists the variables in first-occurrence order over the
+    premises, then the conclusions; it is computed once, at construction,
+    unless the caller already knows it.
+    """
 
     premises: tuple[Formula, ...]
     conclusions: tuple[Formula, ...]
     signature: str
+    variables: tuple[str, ...] = field(default=None, repr=False, compare=False)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for f in self.premises + self.conclusions:
-            formula_vars(f, out)
-        return tuple(out)
+    def __post_init__(self):
+        if self.variables is None:
+            out: list[str] = []
+            for f in self.premises + self.conclusions:
+                formula_vars(f, out)
+            object.__setattr__(self, "variables", tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniversalSentence:
     """Premise equations imply the disjunction of the conclusion equations."""
 
@@ -148,14 +156,16 @@ class UniversalSentence:
         return "universal"
 
 
+_TOP = Const("top")
+
+
 def translate(rule: Rule) -> UniversalSentence:
     """Read a rule as a universal sentence: every formula equated to top."""
     if not rule.premises and not rule.conclusions:
         raise InputError("cannot translate the empty rule")
-    top = Const("top")
     return UniversalSentence(
-        tuple((f, top) for f in rule.premises),
-        tuple((f, top) for f in rule.conclusions),
+        tuple([(f, _TOP) for f in rule.premises]),
+        tuple([(f, _TOP) for f in rule.conclusions]),
         rule.signature,
         rule.variables,
     )
@@ -365,66 +375,66 @@ def sentence_to_json(sent: UniversalSentence) -> dict:
 # computes the value of a term at many coordinates at once.  A coordinate
 # is one point of evaluation, an assignment in one algebra or a (member,
 # assignment) pair across a catalog; values are numpy vectors along the
-# coordinate axis, or scalars where they do not vary.
+# coordinate axis, or scalars where they do not vary.  A value is an
+# element of the coordinate's own member, by its index there.
 
 _BLOCK = 1 << 13
 
 
-def _starts(members) -> list[int]:
-    """Where each member's elements begin when the members are laid end to end."""
-    return list(itertools.accumulate([A.size for A in members[:-1]], initial=0))
+def _offsets(lengths) -> list[int]:
+    """Where each piece begins when pieces of these lengths are laid end to
+    end, and last where they all end."""
+    return list(itertools.accumulate(lengths, initial=0))
 
 
-def _layout(members, counts, values):
+def _spread(counts, values):
     """Per-coordinate vector of one value per member, or the value itself."""
-    if len(members) == 1:
+    if len(counts) == 1:
         return values[0]
     return np.repeat(np.array(values, dtype=np.int64), counts)
+
+
+def _end_to_end(counts, tables):
+    """The members' tables laid end to end, and each coordinate's offset into
+    them; a single table as it is, with no offset."""
+    if len(tables) == 1:
+        return tables[0], None
+    return np.concatenate(tables), _spread(counts, _offsets([len(t) for t in tables])[:-1])
 
 
 class HeytingOps:
     """Heyting operations on coordinate vectors, by gathers from the tables.
 
     ``counts[i]`` consecutive coordinates belong to ``members[i]``.  The
-    members' tables are stacked block-diagonally, so element e of member i
-    is stored as e plus the sizes of the members before it, and one gather
-    applies an operation at every coordinate.  A single algebra is the
-    one-member case: its own tables, no shift, scalar bot and top.
+    members' tables are flattened and laid end to end, so op(x, y) at a
+    coordinate of member i is entry ``base + x * size + y`` with member
+    i's table offset and size.  A single algebra is the one-member case:
+    its own tables, no offset, scalar size, bot and top.
     """
 
     def __init__(self, members, counts=(1,)):
-        starts = _starts(members)
-        if len(members) == 1:
-            A = members[0]
-            self.meet_t, self.join_t, self.imp_t = A.meet, A.join, A.imp
-        else:
-            n = sum(A.size for A in members)
-            tables = []
-            for name in ("meet", "join", "imp"):
-                t = np.zeros((n, n), dtype=np.int64)
-                for A, s in zip(members, starts):
-                    t[s : s + A.size, s : s + A.size] = getattr(A, name) + s
-                tables.append(t)
-            self.meet_t, self.join_t, self.imp_t = tables
-        self.shift = _layout(members, counts, starts)
-        self.bot = self.shift + _layout(members, counts, [A.bot for A in members])
-        self.top = self.shift + _layout(members, counts, [A.top for A in members])
+        self.meet_t, self.base = _end_to_end(counts, [A.meet.ravel() for A in members])
+        self.join_t, _ = _end_to_end(counts, [A.join.ravel() for A in members])
+        self.imp_t, _ = _end_to_end(counts, [A.imp.ravel() for A in members])
+        self.size = _spread(counts, [A.size for A in members])
+        self.bot = _spread(counts, [A.bot for A in members])
+        self.top = _spread(counts, [A.top for A in members])
 
-    def embed(self, local):
-        """Coordinate values of member elements given by their own indices."""
-        return local + self.shift
+    def _gather(self, table, x, y):
+        i = x * self.size + y
+        return table[i] if self.base is None else table[i + self.base]
 
     def meet(self, x, y):
-        return self.meet_t[x, y]
+        return self._gather(self.meet_t, x, y)
 
     def join(self, x, y):
-        return self.join_t[x, y]
+        return self._gather(self.join_t, x, y)
 
     def imp(self, x, y):
-        return self.imp_t[x, y]
+        return self._gather(self.imp_t, x, y)
 
     def neg(self, x):
-        return self.imp_t[x, self.bot]
+        return self._gather(self.imp_t, x, self.bot)
 
     def box(self, x):
         raise InputError("box formula on a heyting algebra")
@@ -438,17 +448,9 @@ class ModalOps:
     """
 
     def __init__(self, members, counts=(1,)):
+        self.box_t, self.base = _end_to_end(counts, [A.box for A in members])
         self.bot = 0
-        self.top = _layout(members, counts, [A.top for A in members])
-        if len(members) == 1:
-            self.box_t = members[0].box
-            self.shift = None
-        else:
-            self.box_t = np.concatenate([A.box for A in members])
-            self.shift = _layout(members, counts, _starts(members))
-
-    def embed(self, local):
-        return local
+        self.top = _spread(counts, [A.top for A in members])
 
     def meet(self, x, y):
         return x & y
@@ -463,7 +465,7 @@ class ModalOps:
         return self.top ^ x
 
     def box(self, x):
-        return self.box_t[x] if self.shift is None else self.box_t[x + self.shift]
+        return self.box_t[x] if self.base is None else self.box_t[x + self.base]
 
 
 def term_ops(members, counts=(1,)):
@@ -475,19 +477,20 @@ def term_ops(members, counts=(1,)):
 
 def term_values(f: Formula, ops, env):
     """Value of f at every coordinate; env maps each variable to its values."""
-    if isinstance(f, Var):
+    kind = type(f)
+    if kind is Var:
         return env[f.name]
-    if isinstance(f, Const):
+    if kind is Const:
         return ops.bot if f.name == "bot" else ops.top
-    if isinstance(f, Not):
+    if kind is Not:
         return ops.neg(term_values(f.arg, ops, env))
-    if isinstance(f, Box):
+    if kind is Box:
         return ops.box(term_values(f.arg, ops, env))
-    if isinstance(f, And):
+    if kind is And:
         return ops.meet(term_values(f.left, ops, env), term_values(f.right, ops, env))
-    if isinstance(f, Or):
+    if kind is Or:
         return ops.join(term_values(f.left, ops, env), term_values(f.right, ops, env))
-    if isinstance(f, Imp):
+    if kind is Imp:
         return ops.imp(term_values(f.left, ops, env), term_values(f.right, ops, env))
     raise InputError(f"not a formula: {f!r}")
 
@@ -503,29 +506,88 @@ def _require_signature(algebra, sent: UniversalSentence) -> None:
         raise InputError(f"cannot evaluate on {type(algebra).__name__}")
 
 
-def _least_counterexample(sent: UniversalSentence, ops, size: int, total: int) -> int:
-    """Index of the least assignment refuting the sentence; -1 if none.
+def _members(owner) -> tuple:
+    """The members of a catalog; an algebra is a catalog of one."""
+    return owner.members if isinstance(owner, AlgebraCatalog) else (owner,)
 
-    Assignment t gives variable v the digit of t of weight size**(n-1-v),
-    so the first variable is the most significant digit.  Assignments are
-    scanned in blocks of ``_BLOCK``; total >= 1 since algebras are nonempty.
+
+def assignment_layout(owner, nvars: int, stop: int, lo: int, hi: int):
+    """Operation set and variable values at coordinates lo..hi-1 of a scan.
+
+    The first ``stop`` members lay their assignments end to end, member by
+    member.  Assignment t of a member of size s gives variable v the digit
+    of t of weight s**(nvars-1-v), so the first variable is the most
+    significant digit.
     """
-    nvars = len(sent.variables)
-    pows = size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, total, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        env = dict(zip(sent.variables, (idx[None, :] // pows[:, None]) % size))
-        bad = np.ones(idx.size, dtype=bool)
+    members = _members(owner)[:stop]
+    starts = _offsets([A.size**nvars for A in members])
+    first = bisect.bisect_right(starts, lo) - 1
+    last = bisect.bisect_right(starts, hi - 1) - 1
+    part = members[first : last + 1]
+    counts = [min(hi, starts[i + 1]) - max(lo, starts[i]) for i in range(first, last + 1)]
+    t = np.arange(lo, hi, dtype=np.int64) - _spread(counts, starts[first : last + 1])
+    size = _spread(counts, [A.size for A in part])
+    digits = (t // size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)[:, None]) % size
+    digits.setflags(write=False)
+    return term_ops(part, counts), tuple(digits)
+
+
+def _assignment(variables, t: int, size: int) -> dict[str, int]:
+    """Assignment t of an algebra of this size, first variable most significant."""
+    values = []
+    for _ in variables:
+        t, digit = divmod(t, size)
+        values.append(digit)
+    return dict(zip(variables, reversed(values)))
+
+
+def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
+    """Each member refuting the sentence, with its least counterexample.
+
+    ``owner`` is a catalog or one algebra.  Yields (member index,
+    counterexample) in member order.  Every member's assignments are laid
+    end to end along one coordinate axis and scanned in blocks of
+    ``_BLOCK`` coordinates that may span members; once a member fails, the
+    rest of it is skipped.  A scan that fits in one block keeps its
+    operation set and variable values on the owner, per number of
+    variables.  A member with more than ``cap`` assignments ends the scan:
+    the members before it are scanned, then ``CapExceeded`` is raised.
+    """
+    members = _members(owner)
+    if members:
+        _require_signature(members[0], sent)
+    variables = sent.variables
+    nvars = len(variables)
+    totals = [A.size**nvars for A in members]
+    stop = next((i for i, n in enumerate(totals) if n > cap), len(members))
+    starts = _offsets(totals)
+    lo, end = 0, starts[stop]
+    while lo < end:
+        hi = min(lo + _BLOCK, end)
+        args = (nvars, stop, lo, hi)
+        ops, digits = derived(owner, assignment_layout, *args) if hi - lo == end else assignment_layout(owner, *args)
+        env = dict(zip(variables, digits))
+        bad = np.ones(hi - lo, dtype=bool)
         for lhs, rhs in sent.premises:
             bad &= term_values(lhs, ops, env) == term_values(rhs, ops, env)
-            if not bad.any():
+            if not np.count_nonzero(bad):
                 break
         else:
             for lhs, rhs in sent.conclusions:
                 bad &= term_values(lhs, ops, env) != term_values(rhs, ops, env)
-            if bad.any():
-                return lo + int(np.argmax(bad))
-    return -1
+            failing = bad.nonzero()[0]
+            j = 0
+            while j < failing.size:
+                c = lo + int(failing[j])
+                i = bisect.bisect_right(starts, c) - 1
+                yield i, _assignment(variables, c - starts[i], members[i].size)
+                hi = max(hi, starts[i + 1])
+                j = int(failing.searchsorted(starts[i + 1] - lo))
+        lo = hi
+    if stop < len(members):
+        raise CapExceeded(
+            f"sentence needs {totals[stop]} assignments on this algebra, cap is {cap}"
+        )
 
 
 def eval_sentence(algebra, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict:
@@ -534,37 +596,15 @@ def eval_sentence(algebra, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict
     Assignments are ordered with the first variable as the most significant
     digit and elements in index order.
     """
-    _require_signature(algebra, sent)
-    size = algebra.size
-    total = size ** len(sent.variables)
-    if total > cap:
-        raise CapExceeded(
-            f"sentence needs {total} assignments on this algebra, cap is {cap}"
-        )
-    idx = _least_counterexample(sent, term_ops([algebra]), size, total)
-    if idx < 0:
-        return {"valid": True, "counterexample": None}
-    assignment = {}
-    rest = idx
-    for name in reversed(sent.variables):
-        assignment[name] = rest % size
-        rest //= size
-    return {
-        "valid": False,
-        "counterexample": {name: assignment[name] for name in sent.variables},
-    }
+    for _, counterexample in refutations(algebra, sent, cap):
+        return {"valid": False, "counterexample": counterexample}
+    return {"valid": True, "counterexample": None}
 
 
 def catalog_validates(cat, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict:
     """Validity across a catalog; names the first failing member."""
-    for i, member in enumerate(cat.members):
-        res = eval_sentence(member, sent, cap)
-        if not res["valid"]:
-            return {
-                "valid": False,
-                "failing_member": i,
-                "counterexample": res["counterexample"],
-            }
+    for i, counterexample in refutations(cat, sent, cap):
+        return {"valid": False, "failing_member": i, "counterexample": counterexample}
     return {"valid": True, "failing_member": None, "counterexample": None}
 
 
@@ -642,11 +682,30 @@ def enumerate_rules(
             f"{count} candidate rules requested, RULE_CAP is {RULE_CAP}; "
             "lower max_vars, max_premises or depth"
         )
+    # Each formula's variables are found once.  A rule's variables merge
+    # those of its premises and conclusions in first-occurrence order, once
+    # per premise set and distinct conclusion variables; rules share the
+    # merged tuples and the conclusion tuples.
+    found = []
+    for f in pool:
+        names: list[str] = []
+        formula_vars(f, names)
+        found.append(tuple(names))
+    concl_sets = [
+        (tuple(pool[i] for i in idx), tuple(dict.fromkeys(v for i in idx for v in found[i])))
+        for idx in itertools.combinations(range(len(pool)), conclusions)
+    ]
     out = []
     for n_prem in range(max_premises + 1):
-        for prem in itertools.combinations(pool, n_prem):
-            for concl in itertools.combinations(pool, conclusions):
-                out.append(Rule(prem, concl, signature))
+        for idx in itertools.combinations(range(len(pool)), n_prem):
+            prem = tuple(pool[i] for i in idx)
+            prem_vars = tuple(v for i in idx for v in found[i])
+            merged: dict[tuple[str, ...], tuple[str, ...]] = {}
+            for concl, concl_vars in concl_sets:
+                variables = merged.get(concl_vars)
+                if variables is None:
+                    variables = merged[concl_vars] = tuple(dict.fromkeys(prem_vars + concl_vars))
+                out.append(Rule(prem, concl, signature, variables))
     return out
 
 

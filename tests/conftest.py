@@ -1,0 +1,8 @@
+"""Settings shared by every test module."""
+
+from hypothesis import settings
+
+# Property tests draw the same examples on every run: no random seed and
+# no example database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")

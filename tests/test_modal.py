@@ -517,3 +517,50 @@ def test_filters_quotient_and_isomorphism_at_the_atom_cap():
     assert validate_modal(cycle).interior and validate_modal(blocks).interior
     assert not timed(are_isomorphic, cycle, blocks)
     assert timed(are_isomorphic, blocks, relabel(blocks, perm))
+
+
+def coatoms_to_top(n, killed=()):
+    """box(e) = e, except top for every coatom and bottom for the killed
+    sets: not K, and the accessibility relation is empty."""
+    top = (1 << n) - 1
+    box = np.arange(1 << n, dtype=np.int64)
+    box[[top ^ (1 << x) for x in range(n)]] = top
+    for s in killed:
+        box[sum(1 << x for x in s)] = 0
+    return ModalAlgebra(n, box)
+
+
+def test_are_isomorphic_is_bounded_on_tables_that_are_not_k():
+    def timed(fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        assert time.perf_counter() - start < 0.5
+        return out
+
+    # Same degrees everywhere; the tables differ at one singleton.
+    full = coatoms_to_top(12)
+    for s in (0, 11):
+        one = coatoms_to_top(12, [(s,)])
+        assert not timed(are_isomorphic, full, one)
+        assert not timed(are_isomorphic, one, full)
+    perm = list(range(12))
+    random.Random(20261022).shuffle(perm)
+    pair = coatoms_to_top(12, [(3, 9)])
+    assert timed(are_isomorphic, pair, relabel(pair, perm))
+    assert timed(are_isomorphic, full, relabel(full, perm))
+
+
+def test_are_isomorphic_prunes_soundly_when_the_box_profiles_agree():
+    # Killed pairs along a 6-cycle or two triangles: every atom has the
+    # same box profile, so only the backtracking tells them apart.
+    cycle = [(i, (i + 1) % 6) for i in range(6)]
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    for n in (6, 12):
+        a, b = coatoms_to_top(n, cycle), coatoms_to_top(n, triangles)
+        assert not are_isomorphic(a, b) and not are_isomorphic(b, a)
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        assert are_isomorphic(a, relabel(a, perm)) and are_isomorphic(b, relabel(b, perm))
+        if n == 6:
+            assert not reference_isomorphic(a, b)
+            assert reference_isomorphic(a, relabel(a, perm))

@@ -5,13 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grzlab.bridge import boolean_extension
 from grzlab import ulogic
-from grzlab.catalog import heyting_catalog
+from grzlab.catalog import AlgebraCatalog, heyting_catalog
 from grzlab.errors import CapExceeded, InputError, ParseError
 from grzlab.finlat import FinitePoset, chain_heyting, downset_heyting, trivial_heyting
-from grzlab.modal import ModalAlgebra, complex_algebra, make_standard, modal_product
+from grzlab.modal import ModalAlgebra, complex_algebra, make_standard, modal_product, trivial_modal
 from grzlab.ulogic import (
     And,
     Box,
@@ -320,3 +322,213 @@ def test_eval_sentence_least_counterexample_past_the_first_block():
     res = eval_sentence(alg, sent)
     assert res == ref_eval_sentence(alg, sent)
     assert res["counterexample"] == {"p": alg.top, "q": 0, "r": 1, "s": 0}
+
+
+# ---------------------------------------------------------------------------
+# The catalog-wide scan against the per-member loop it replaced
+
+
+def np_value(alg, f, env):
+    """Values of f over whole assignment vectors, straight from one member's tables."""
+    modal = isinstance(alg, ModalAlgebra)
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return (0 if modal else alg.bot) if f.name == "bot" else alg.top
+    if isinstance(f, (Not, Box)):
+        x = np_value(alg, f.arg, env)
+        if isinstance(f, Box):
+            return alg.box[x]
+        return alg.top ^ x if modal else alg.imp[x, alg.bot]
+    x, y = np_value(alg, f.left, env), np_value(alg, f.right, env)
+    if modal:
+        return {And: x & y, Or: x | y, Imp: (alg.top ^ x) | y}[type(f)]
+    return {And: alg.meet, Or: alg.join, Imp: alg.imp}[type(f)][x, y]
+
+
+def member_failures(members, sent, cap=ulogic.EVAL_CAP):
+    """The per-member loop: each member scanned alone, all of its
+    assignments at once; yields (member, least counterexample)."""
+    n = len(sent.variables)
+    for i, alg in enumerate(members):
+        total = alg.size**n
+        if total > cap:
+            raise CapExceeded(f"sentence needs {total} assignments on this algebra, cap is {cap}")
+        grid = np.array(list(itertools.product(range(alg.size), repeat=n)), dtype=np.int64)
+        env = dict(zip(sent.variables, grid.reshape(total, n).T))
+        bad = np.ones(total, dtype=bool)
+        for lhs, rhs in sent.premises:
+            bad &= np_value(alg, lhs, env) == np_value(alg, rhs, env)
+        for lhs, rhs in sent.conclusions:
+            bad &= np_value(alg, lhs, env) != np_value(alg, rhs, env)
+        if bad.any():
+            j = int(np.argmax(bad))
+            yield i, {v: int(env[v][j]) for v in sent.variables}
+
+
+def first_failure(members, sent, cap=ulogic.EVAL_CAP):
+    for i, cex in member_failures(members, sent, cap):
+        return {"valid": False, "failing_member": i, "counterexample": cex}
+    return {"valid": True, "failing_member": None, "counterexample": None}
+
+
+def random_catalog(rng, signature, count):
+    members = []
+    for _ in range(count):
+        P = random_poset(rng, rng.randrange(0, 4))
+        members.append(downset_heyting(P) if signature == "heyting" else complex_algebra(P))
+    return AlgebraCatalog(signature, tuple(members))
+
+
+def test_catalog_scan_matches_the_per_member_loop():
+    rng = random.Random(20261023)
+    names = ("p", "q", "r", "s")
+    seen = {"heyting": set(), "modal": set()}
+    for trial in range(240):
+        signature = ("heyting", "modal")[trial % 2]
+        K = random_catalog(rng, signature, rng.randrange(1, 6))
+        nvars = trial % 5  # 0 to 4 variables
+        if nvars == 4:  # keep the brute force small
+            K = AlgebraCatalog(signature, tuple(A for A in K.members if A.size <= 4) or K.members[:1])
+        sent = random_sentence(rng, signature, names[: max(nvars, 1)])
+        # With no variables, every formula is closed by a constant for p.
+        close = {} if nvars else {"p": Const(rng.choice(("bot", "top")))}
+        sent = UniversalSentence(
+            tuple((substitute(l, close), substitute(r, close)) for l, r in sent.premises),
+            tuple((substitute(l, close), substitute(r, close)) for l, r in sent.conclusions),
+            signature,
+            names[:nvars],
+        )
+        want = list(member_failures(K.members, sent))
+        assert list(ulogic.refutations(K, sent)) == want
+        assert catalog_validates(K, sent) == first_failure(K.members, sent)
+        for i, A in enumerate(K.members):
+            cex = dict(want).get(i)
+            assert eval_sentence(A, sent) == {"valid": cex is None, "counterexample": cex}
+        seen[signature].add(bool(want))
+    assert seen == {"heyting": {True, False}, "modal": {True, False}}
+
+
+def test_catalog_scan_on_one_element_algebras():
+    for K, sig in (
+        (AlgebraCatalog("heyting", (trivial_heyting(), chain_heyting(2), trivial_heyting())), "heyting"),
+        (AlgebraCatalog("modal", (trivial_modal(), make_standard("S2"))), "modal"),
+    ):
+        for text in ("/ bot", "/ p | ~p", "p / bot", "p -> q / q -> p", "/ p, q, r, s"):
+            sent = translate(parse_rule(text, sig))
+            assert list(ulogic.refutations(K, sent)) == list(member_failures(K.members, sent))
+            assert catalog_validates(K, sent) == first_failure(K.members, sent)
+
+
+def two_below_one():
+    """Downsets of two points under a third: not a chain, so (p -> r) | (r -> p) fails."""
+    leq = np.eye(3, dtype=bool)
+    leq[1, 0] = leq[2, 0] = True
+    return downset_heyting(FinitePoset(3, leq))
+
+
+def lines_through_blocks():
+    """A catalog over three blocks whose first refutation lies past the
+    first block boundary, in its third member; no premise holds in the first
+    block, so the scan leaves it early."""
+    chain10, chain3 = chain_heyting(10), chain_heyting(3)
+    K = AlgebraCatalog("heyting", (chain10, chain3, two_below_one(), chain10, two_below_one()))
+    doc = {"premises": [["q", "top"]], "conclusions": [["(p -> r) | (r -> p)", "top"]]}
+    sent = sentence_from_json(doc, "heyting")
+    return K, UniversalSentence(sent.premises, sent.conclusions, "heyting", ("q", "p", "r", "s"))
+
+
+def test_catalog_scan_across_block_boundaries():
+    K, sent = lines_through_blocks()
+    block = ulogic._BLOCK
+    totals = [A.size**4 for A in K.members]
+    assert sum(totals) > 2 * block and totals[0] > block  # three blocks
+    # q is the first digit: q = top (9) never occurs in the first block.
+    assert (block - 1) // 1000 < 9
+    want = list(member_failures(K.members, sent))
+    assert [i for i, _ in want] == [2, 4]
+    assert sum(totals[:2]) + ulogic_index(want[0][1], sent.variables, 4) > block
+    assert list(ulogic.refutations(K, sent)) == want
+    assert catalog_validates(K, sent) == first_failure(K.members, sent)
+    # A member that fails inside a block and runs on into the next one.
+    em = UniversalSentence((), ((parse_formula("p | ~p", "heyting"), Const("top")),), "heyting", ("p", "q", "r", "s"))
+    K2 = AlgebraCatalog("heyting", (chain_heyting(2), chain_heyting(10), two_below_one(), chain_heyting(9)))
+    assert list(ulogic.refutations(K2, em)) == list(member_failures(K2.members, em))
+
+
+def ulogic_index(cex, variables, size):
+    idx = 0
+    for v in variables:
+        idx = idx * size + cex[v]
+    return idx
+
+
+def test_catalog_scan_cap_order():
+    K, sent = lines_through_blocks()
+    tail = AlgebraCatalog("heyting", K.members[1:])
+    # Member 1 fails before member 2 (10**4 assignments) passes the cap.
+    got = catalog_validates(tail, sent, cap=5000)
+    assert got == first_failure(tail.members, sent, cap=5000) and got["failing_member"] == 1
+    # All members before the first one over the cap hold: the same refusal.
+    holds = translate(parse_rule("p, p -> q / q", "heyting"))
+    holds = UniversalSentence(holds.premises, holds.conclusions, "heyting", ("p", "q", "r", "s"))
+    with pytest.raises(CapExceeded) as want:
+        first_failure(tail.members, holds, cap=5000)
+    with pytest.raises(CapExceeded) as got:
+        catalog_validates(tail, holds, cap=5000)
+    assert str(got.value) == str(want.value) == "sentence needs 10000 assignments on this algebra, cap is 5000"
+    with pytest.raises(CapExceeded) as got:
+        eval_sentence(chain_heyting(10), holds, cap=9999)
+    assert str(got.value) == "sentence needs 10000 assignments on this algebra, cap is 9999"
+    # A full scan for per-member verdicts refuses after the members before it.
+    with pytest.raises(CapExceeded):
+        dict(ulogic.refutations(tail, sent, cap=5000))
+
+
+def test_catalog_scan_signature_mismatch():
+    em = translate(parse_rule("/ p | ~p", "heyting"))
+    box = translate(parse_rule("/ box p -> p", "modal"))
+    with pytest.raises(InputError):
+        catalog_validates(AlgebraCatalog("modal", (make_standard("S2"),)), em)
+    with pytest.raises(InputError):
+        catalog_validates(heyting_catalog(3), box)
+    with pytest.raises(InputError):
+        eval_sentence(make_standard("S12"), em)
+    # An empty catalog holds everything, with nothing to check.
+    assert catalog_validates(AlgebraCatalog("modal", ()), em)["valid"]
+
+
+@st.composite
+def downset_catalogs(draw):
+    """Catalogs of the downset algebras of posets on up to three points."""
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 3))
+        leq = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                leq[i, j] = draw(st.booleans())
+        for k in range(n):
+            leq |= leq[:, [k]] & leq[[k], :]
+        members.append(downset_heyting(FinitePoset(n, leq)))
+    return AlgebraCatalog("heyting", tuple(members))
+
+
+FORMULAS = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Const("bot"), Const("top")]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner), st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Imp, inner, inner)
+    ),
+    max_leaves=5,
+)
+EQUATIONS = st.lists(st.tuples(FORMULAS, FORMULAS), max_size=2).map(tuple)
+SENTENCES = (
+    st.tuples(EQUATIONS, EQUATIONS)
+    .filter(lambda sides: sides[0] or sides[1])
+    .map(lambda sides: UniversalSentence(sides[0], sides[1], "heyting", ("p", "q")))
+)
+
+
+@given(downset_catalogs(), SENTENCES)
+def test_catalog_validates_is_the_first_failure_of_the_per_member_loop(K, sent):
+    assert catalog_validates(K, sent) == first_failure(K.members, sent)
