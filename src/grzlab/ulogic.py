@@ -528,7 +528,6 @@ def assignment_layout(owner, nvars: int, stop: int, lo: int, hi: int):
     t = np.arange(lo, hi, dtype=np.int64) - _spread(counts, starts[first : last + 1])
     size = _spread(counts, [A.size for A in part])
     digits = (t // size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)[:, None]) % size
-    digits.setflags(write=False)
     return term_ops(part, counts), tuple(digits)
 
 
