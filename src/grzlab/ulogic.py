@@ -527,8 +527,11 @@ def assignment_layout(owner, nvars: int, stop: int, lo: int, hi: int):
     counts = [min(hi, starts[i + 1]) - max(lo, starts[i]) for i in range(first, last + 1)]
     t = np.arange(lo, hi, dtype=np.int64) - _spread(counts, starts[first : last + 1])
     size = _spread(counts, [A.size for A in part])
-    digits = (t // size ** np.arange(nvars - 1, -1, -1, dtype=np.int64)[:, None]) % size
-    return term_ops(part, counts), tuple(digits)
+    digits = []
+    for _ in range(nvars):
+        t, digit = np.divmod(t, size)
+        digits.append(digit)
+    return term_ops(part, counts), tuple(reversed(digits))
 
 
 def _assignment(variables, t: int, size: int) -> dict[str, int]:
@@ -595,6 +598,7 @@ def eval_sentence(algebra, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict
     Assignments are ordered with the first variable as the most significant
     digit and elements in index order.
     """
+    _require_signature(algebra, sent)
     for _, counterexample in refutations(algebra, sent, cap):
         return {"valid": False, "counterexample": counterexample}
     return {"valid": True, "counterexample": None}

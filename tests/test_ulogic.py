@@ -494,6 +494,8 @@ def test_catalog_scan_signature_mismatch():
         catalog_validates(heyting_catalog(3), box)
     with pytest.raises(InputError):
         eval_sentence(make_standard("S12"), em)
+    with pytest.raises(InputError, match="cannot evaluate on AlgebraCatalog"):
+        eval_sentence(heyting_catalog(3), em)
     # An empty catalog holds everything, with nothing to check.
     assert catalog_validates(AlgebraCatalog("modal", ()), em)["valid"]
 
