@@ -54,16 +54,15 @@ def open_algebra(M: ModalAlgebra) -> tuple[HeytingAlgebra, tuple[int, ...]]:
 def _open_algebra(M: ModalAlgebra) -> tuple[HeytingAlgebra, tuple[int, ...]]:
     require_interior(M)
     opens = M.open_elements()
-    index = {m: i for i, m in enumerate(opens)}
     n = len(opens)
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
-    imp = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(opens):
-        for j, b in enumerate(opens):
-            meet[i, j] = index[a & b]
-            join[i, j] = index[a | b]
-            imp[i, j] = index[int(M.box[(M.top ^ a) | b])]
+    # The opens of an interior algebra are closed under meet, join and
+    # box(¬a ∨ b), so every table entry is the position of an open.
+    arr = np.array(opens, dtype=np.int64)
+    index = np.zeros(M.size, dtype=np.int32)
+    index[arr] = np.arange(n, dtype=np.int32)
+    meet = index[arr[:, None] & arr[None, :]]
+    join = index[arr[:, None] | arr[None, :]]
+    imp = index[M.box[(M.top ^ arr)[:, None] | arr[None, :]]]
     return HeytingAlgebra(n, meet, join, imp, 0, n - 1), tuple(opens)
 
 

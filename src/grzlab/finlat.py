@@ -372,15 +372,16 @@ def join_irreducibles(alg: HeytingAlgebra) -> list[int]:
 
 
 def _join_irreducibles(alg: HeytingAlgebra) -> tuple[int, ...]:
-    out = []
-    leq = alg.leq
-    for a in range(alg.size):
-        if a == alg.bot:
-            continue
-        below = np.nonzero(leq[:, a] & (np.arange(alg.size) != a))[0]
-        if below.size == 0 or not (alg.join[np.ix_(below, below)] == a).any():
-            out.append(a)
-    return tuple(out)
+    # A pair x, y can only witness that its own join a = x ∨ y is reducible,
+    # so one pass over the join table finds every reducible element.
+    n = alg.size
+    below = alg.leq & ~np.eye(n, dtype=bool)  # [x, a]: x < a
+    pts = np.arange(n)
+    join = alg.join
+    split = below[pts[:, None], join] & below[pts[None, :], join]
+    reducible = np.zeros(n, dtype=bool)
+    reducible[join[split]] = True
+    return tuple(a for a in range(n) if a != alg.bot and not reducible[a])
 
 
 def join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
