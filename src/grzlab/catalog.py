@@ -2,22 +2,24 @@
 
 Everything is up to isomorphism with explicit canonical forms: posets use
 the least packed relation matrix over relabelings, topologies the least
-family mask over point permutations.  Heyting algebras ride on Birkhoff
-duality, so deduplicating them is deduplicating their join-irreducible
-posets and needs no extra work.  Catalogs persist as JSON with named,
-validated entries.
+family mask over point permutations.  Posets are the one enumerated
+structure: a finite topology is a poset of clusters, so topologies and
+their interior algebras are built from the posets.  Heyting algebras ride
+on Birkhoff duality, so deduplicating them is deduplicating their
+join-irreducible posets and needs no extra work.  Catalogs persist as
+JSON with named, validated entries.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import CapExceeded, InputError
 from .finlat import (
     FinitePoset,
@@ -33,7 +35,7 @@ from .modal import ModalAlgebra, validate_modal
 
 FORMAT_VERSION = 1
 POSET_POINT_CAP = 7
-TOPOLOGY_POINT_CAP = 4
+TOPOLOGY_POINT_CAP = 6
 
 _DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -180,9 +182,13 @@ def _extensions(bases, n: int) -> tuple[FinitePoset, ...]:
 def enumerate_topologies(k: int) -> tuple[int, ...]:
     """Topologies on k points up to homeomorphism, as canonical family masks.
 
-    A family mask has bit s set when the subset mask s is open.  The
-    canonical mask is the least image of the family under the point
-    permutations of the shared ``permutation_table``.
+    A finite topology is a preorder, a poset of clusters, so each one comes
+    from a poset on m <= k points: its points become m consecutive runs of
+    the k points, and the opens are the unions of clusters over its
+    downsets.  A family mask has bit s set when the subset mask s is open.
+    The canonical mask is the least image of the family under the point
+    permutations of the shared ``permutation_table``; at 6 points it needs
+    all 64 bits, so the images are ``uint64``.
     """
     if k < 0:
         raise InputError("point count must be nonnegative")
@@ -191,13 +197,20 @@ def enumerate_topologies(k: int) -> tuple[int, ...]:
             f"topology enumeration asked for {k} points; "
             f"TOPOLOGY_POINT_CAP is {TOPOLOGY_POINT_CAP}"
         )
-    families = np.nonzero(kernels.topology_valid(k))[0]
-    subsets = np.arange(1 << k)
-    members = (subsets >> np.arange(k)[:, None]) & 1  # [i, s]: point i lies in s
-    images = (1 << permutation_table(k)) @ members  # [p, s]: s moved by p
-    bits = (families[:, None] >> subsets) & 1
-    moved = bits @ (1 << images).T  # [f, p]: family f moved by p
-    return tuple(sorted({int(m) for m in moved.min(axis=1)}))
+    members = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1  # [i, s]: i lies in s
+    moved = (1 << permutation_table(k)) @ members  # [p, s]: s moved by p
+    bits = np.uint64(1) << moved.astype(np.uint64)
+    found = {1} if k == 0 else set()  # the empty space has one open set, the empty one
+    for m in range(1, k + 1):
+        cuts = itertools.combinations(range(1, k), m - 1)
+        ends = np.array([(0, *cut, k) for cut in cuts])
+        clusters = (1 << ends[:, 1:]) - (1 << ends[:, :-1])  # [c, j]: run j of split c
+        for poset in enumerate_posets(m):
+            downs = np.array(downset_masks(poset))
+            opens = clusters @ ((downs[:, None] >> np.arange(m)) & 1).T  # [c, d]
+            # distinct opens move to distinct subsets: the sum is the moved family
+            found.update(int(f) for f in bits[:, opens].sum(axis=2).min(axis=0))
+    return tuple(sorted(found))
 
 
 def interior_from_topology(k: int, family: int) -> ModalAlgebra:

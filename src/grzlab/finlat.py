@@ -341,12 +341,6 @@ def _binary_witness(bad: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def require_heyting(alg: HeytingAlgebra) -> None:
-    rep = validate_heyting(alg)
-    if not rep.ok:
-        raise InputError(f"not a Heyting algebra: {rep.malformed or rep.violations}")
-
-
 def downset_heyting(poset: FinitePoset, cap: int = ELEMENT_CAP) -> HeytingAlgebra:
     """The Heyting algebra of downsets, elements ordered by ascending mask."""
     masks = downset_masks(poset, cap)

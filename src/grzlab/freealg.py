@@ -18,7 +18,7 @@ import numpy as np
 from .bridge import boolean_extension, class_membership, extend_hom, open_algebra, sigma_catalog
 from .catalog import AlgebraCatalog
 from .errors import CapExceeded, InputError, InternalCheckError
-from .finlat import HeytingAlgebra, HeytingHom, heyting_hom_search
+from .finlat import ELEMENT_CAP, HeytingAlgebra, HeytingHom, heyting_hom_search
 from .modal import ATOM_CAP, ModalAlgebra, hom_search
 from .ulogic import (
     And,
@@ -37,7 +37,6 @@ from .ulogic import (
 )
 
 COORD_CAP = 64
-ELEMENT_CAP = 4096
 
 
 @dataclass

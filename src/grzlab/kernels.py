@@ -65,26 +65,3 @@ def perm_min_key(mat: np.ndarray, perms: np.ndarray) -> int:
     flat = gathered.reshape(perms.shape[0], n * n).astype(np.int64)
     weights = np.int64(1) << np.arange(n * n - 1, -1, -1, dtype=np.int64)
     return int(np.min(flat @ weights))
-
-
-# ---------------------------------------------------------------------------
-# Topology scan: which families of subsets of a k-point set contain the
-# empty and full sets and are closed under union and intersection.  Families
-# are bitmasks over the 2^k subset masks.
-
-
-def topology_valid(k: int) -> np.ndarray:
-    """uint8 array over all subset families: 1 where the family is a topology."""
-    if k < 0 or k > 4:
-        raise ValueError("topology scan supports 0 <= k <= 4")
-    n_subsets = 1 << k
-    n_families = 1 << n_subsets
-    fams = np.arange(n_families, dtype=np.int64)
-    has = (fams[:, None] >> np.arange(n_subsets, dtype=np.int64)[None, :]) & 1
-    has = has.astype(bool)
-    valid = has[:, 0] & has[:, n_subsets - 1]
-    for s in range(n_subsets):
-        for t in range(s + 1, n_subsets):
-            both = has[:, s] & has[:, t]
-            valid &= ~both | (has[:, s | t] & has[:, s & t])
-    return valid.astype(np.uint8)

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import kernels
 from .errors import CapExceeded, InputError, InternalCheckError
-from .finlat import derived, relation_isomorphisms
+from .finlat import MODES, derived, relation_isomorphisms
 
 ATOM_CAP = 12
 
-MODES = ("any", "injective", "surjective", "iso")
 HOM_KINDS = ("boolean", "stable", "box_partial", "modal")
 
 
@@ -69,9 +68,6 @@ class ModalAlgebra:
 
     def imp(self, a: int, b: int) -> int:
         return (self.top ^ a) | b
-
-    def box_of(self, a: int) -> int:
-        return int(self.box[a])
 
     def open_elements(self) -> list[int]:
         """Elements fixed by box, in increasing order."""

@@ -84,18 +84,6 @@ def formula_vars(f: Formula, out: list[str]) -> None:
         formula_vars(f.right, out)
 
 
-def check_signature(f: Formula, signature: str) -> None:
-    if signature not in SIGNATURES:
-        raise InputError(f"signature must be one of {SIGNATURES}")
-    if signature == "heyting" and isinstance(f, Box):
-        raise InputError("box is not part of the heyting signature")
-    if isinstance(f, (Not, Box)):
-        check_signature(f.arg, signature)
-    elif isinstance(f, (And, Or, Imp)):
-        check_signature(f.left, signature)
-        check_signature(f.right, signature)
-
-
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     if isinstance(f, Var):
         return mapping.get(f.name, f)

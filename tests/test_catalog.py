@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -37,10 +38,21 @@ def test_topology_counts_by_point():
     # 1, 1, 3, 9, 33 topologies on 0..4 points up to homeomorphism
     for k, want in enumerate([1, 1, 3, 9, 33]):
         assert len(catalog.enumerate_topologies(k)) == want
-    with pytest.raises(CapExceeded, match="5 points; TOPOLOGY_POINT_CAP is 4"):
-        catalog.enumerate_topologies(5)
+    with pytest.raises(CapExceeded, match="7 points; TOPOLOGY_POINT_CAP is 6"):
+        catalog.enumerate_topologies(7)
     with pytest.raises(InputError):
         catalog.enumerate_topologies(-1)
+
+
+def test_topologies_and_interior_catalog_at_the_cap():
+    catalog.enumerate_topologies.cache_clear()
+    catalog.enumerate_posets.cache_clear()
+    start = time.perf_counter()
+    assert len(catalog.enumerate_topologies(catalog.TOPOLOGY_POINT_CAP)) == 718
+    cat = catalog.interior_catalog(catalog.TOPOLOGY_POINT_CAP)
+    assert time.perf_counter() - start < 2.0
+    # 1 + 1 + 3 + 9 + 33 + 139 + 718 interior algebras on 0..6 atoms
+    assert len(cat.members) == 904
 
 
 def test_two_point_topologies():

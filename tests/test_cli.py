@@ -276,10 +276,10 @@ def test_completeness_report_refuses_depth_3_before_building_it(capsys, monkeypa
     "argv",
     [
         ("enumerate", "--what", "posets", "--n", "8"),
-        ("enumerate", "--what", "topologies", "--n", "5"),
-        ("catalog-eval", "--interior", "5", "/ p"),
-        ("free", "--interior", "5", "--k", "1"),
-        ("completeness-report", "--interior", "5", "--k", "1"),
+        ("enumerate", "--what", "topologies", "--n", "7"),
+        ("catalog-eval", "--interior", "7", "/ p"),
+        ("free", "--interior", "7", "--k", "1"),
+        ("completeness-report", "--interior", "7", "--k", "1"),
     ],
 )
 def test_catalog_building_verbs_refuse_past_the_enumeration_caps(capsys, argv):

@@ -2,8 +2,8 @@
 
 The references are deliberately naive: the unbounded poset enumeration
 filtered by downset count, a minimum over every relabeling computed in pure
-Python, and a per-permutation, per-subset canonicalisation of every labeled
-topology.  Random inputs come from fixed seeds.
+Python, and a per-permutation, per-subset canonicalisation of the downset
+family of every labeled preorder.  Random inputs come from fixed seeds.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grzlab import catalog, kernels
+from grzlab import catalog
 from grzlab.finlat import (
     FinitePoset,
     canonical_key,
@@ -104,13 +104,50 @@ def _canonical_family(family, k):
     return best
 
 
+def _labeled_topologies(k):
+    """The downset family of every preorder on k labeled points, by brute force
+    over all 2^(k(k-1)) relations that contain the diagonal."""
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    families = []
+    for chosen in range(1 << len(pairs)):
+        down = [1 << j for j in range(k)]  # down[j]: the points at or below j
+        for b, (i, j) in enumerate(pairs):
+            if (chosen >> b) & 1:
+                down[j] |= 1 << i
+        if any(down[i] & ~down[j] for j in range(k) for i in range(k) if (down[j] >> i) & 1):
+            continue  # not transitive
+        family = 0
+        for s in range(1 << k):
+            if all(down[j] & ~s == 0 for j in range(k) if (s >> j) & 1):
+                family |= 1 << s
+        families.append(family)
+    return families
+
+
+def _is_topology(family, k):
+    opens = np.array([s for s in range(1 << k) if (family >> s) & 1])
+    return (
+        family & 1 == 1
+        and (family >> ((1 << k) - 1)) & 1 == 1
+        and np.isin(opens[:, None] | opens, opens).all()
+        and np.isin(opens[:, None] & opens, opens).all()
+    )
+
+
 def test_topologies_match_pure_python_canonical_forms():
-    for k in range(catalog.TOPOLOGY_POINT_CAP + 1):
-        labeled = [int(f) for f in np.nonzero(kernels.topology_valid(k))[0]]
-        # OEIS A000798: labeled topologies on 0..4 points
-        assert len(labeled) == [1, 1, 4, 29, 355][k]
+    for k in range(5):
+        labeled = _labeled_topologies(k)
+        # OEIS A000798: labeled topologies (preorders) on 0..4 points
+        assert len(labeled) == len(set(labeled)) == [1, 1, 4, 29, 355][k]
         want = tuple(sorted({_canonical_family(f, k) for f in labeled}))
         assert catalog.enumerate_topologies(k) == want
+    # OEIS A001930: topologies on 5 and 6 points up to homeomorphism
+    for k, count in ((5, 139), (6, 718)):
+        got = catalog.enumerate_topologies(k)
+        assert len(got) == len(set(got)) == count
+        assert all(0 <= f < 1 << (1 << k) for f in got)
+        assert all(_is_topology(f, k) for f in got)
+    assert all(_canonical_family(f, 5) == f for f in catalog.enumerate_topologies(5))
 
 
 def test_permutation_table_is_shared_and_read_only():
