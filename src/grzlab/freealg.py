@@ -140,7 +140,8 @@ def free_algebra(
     ncoords = sum(A.size**k for A in K.members)
     if ncoords > coord_cap:
         raise CapExceeded(
-            f"free algebra needs {ncoords} coordinates, cap is {coord_cap}"
+            f"free algebra needs {ncoords} coordinates, cap is {coord_cap} "
+            f"(COORD_CAP, default {COORD_CAP}); raise --coord-cap or lower k"
         )
 
     keys, terms, index, ops, fixed = _closure(K, k, element_cap)

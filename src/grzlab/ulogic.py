@@ -365,6 +365,14 @@ def sentence_to_json(sent: UniversalSentence) -> dict:
 # assignment) pair across a catalog; values are numpy vectors along the
 # coordinate axis, or scalars where they do not vary.  A value is an
 # element of the coordinate's own member, by its index there.
+#
+# A scan takes its coordinates in blocks of two shapes, chosen by each
+# member's number of assignments.  Members with at most ``_BLOCK`` share
+# flat blocks laid out by ``assignment_layout``.  A larger member is scanned
+# alone in blocks from ``box_layout``, sub-boxes of its assignment product
+# with one axis per varying variable, so numpy broadcasting computes a
+# subterm only over its own variables' axes.  Either block, read in C
+# order, is a run of consecutive coordinates.
 
 _BLOCK = 1 << 13
 
@@ -522,6 +530,43 @@ def assignment_layout(owner, nvars: int, stop: int, lo: int, hi: int):
     return term_ops(part, counts), tuple(reversed(digits))
 
 
+def _box_plan(A):
+    """What the sub-box blocks of A's assignments share: A's operation set,
+    the number m of trailing variables, the largest with size**m <=
+    ``_BLOCK``, and their values, each along its own axis."""
+    m = 0
+    while A.size ** (m + 1) <= _BLOCK:
+        m += 1
+    axes = tuple(np.arange(A.size).reshape((A.size,) + (1,) * (m - 1 - v)) for v in range(m))
+    return term_ops([A]), m, axes
+
+
+def box_layout(A, nvars: int, t: int):
+    """Operation set, shape and variable values of the block of A's
+    assignments that begins at assignment t, a sub-box of their product.
+
+    A has more than ``_BLOCK`` assignments.  The last m variables run over
+    all values (``_box_plan``), the variable before them over
+    ``_BLOCK // size**m`` consecutive values, cut off at its last value,
+    and the leading variables are fixed, as scalars.  Each varying
+    variable's values lie along its own axis of the shape, so numpy
+    broadcasting computes a term only over the axes of its own variables.
+    Read in C order, the block is assignments t, t+1, ... in the digit
+    order of ``assignment_layout``; t is 0 or where the block before ends.
+    """
+    ops, m, axes = derived(A, _box_plan)
+    size = A.size
+    tail = size**m
+    lead, first = divmod(t // tail, size)
+    run = min(_BLOCK // tail, size - first)
+    fixed = []
+    for _ in range(nvars - m - 1):
+        lead, digit = divmod(lead, size)
+        fixed.append(digit)
+    running = np.arange(first, first + run).reshape((run,) + (1,) * m)
+    return ops, (run,) + (size,) * m, (*reversed(fixed), running, *axes)
+
+
 def _assignment(variables, t: int, size: int) -> dict[str, int]:
     """Assignment t of an algebra of this size, first variable most significant."""
     values = []
@@ -531,17 +576,27 @@ def _assignment(variables, t: int, size: int) -> dict[str, int]:
     return dict(zip(variables, reversed(values)))
 
 
+def _next_big(totals, i: int, stop: int) -> int:
+    """The first member from i on with more than ``_BLOCK`` assignments, or stop."""
+    return next((j for j in range(i, stop) if totals[j] > _BLOCK), stop)
+
+
 def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
     """Each member refuting the sentence, with its least counterexample.
 
     ``owner`` is a catalog or one algebra.  Yields (member index,
     counterexample) in member order.  Every member's assignments are laid
-    end to end along one coordinate axis and scanned in blocks of
-    ``_BLOCK`` coordinates that may span members; once a member fails, the
-    rest of it is skipped.  A scan that fits in one block keeps its
-    operation set and variable values on the owner, per number of
-    variables.  A member with more than ``cap`` assignments ends the scan:
-    the members before it are scanned, then ``CapExceeded`` is raised.
+    end to end along one coordinate axis and scanned in blocks; once a
+    member fails, the rest of it is skipped.  A member with at most
+    ``_BLOCK`` assignments is scanned in flat blocks of up to ``_BLOCK``
+    coordinates that may span such members and stop where a larger member
+    begins (``assignment_layout``).  A larger member is scanned alone, in
+    blocks that are sub-boxes of its assignment product (``box_layout``),
+    so each subterm is computed only over its own variables.  A scan that
+    fits in one block keeps its operation set and variable values on the
+    owner, per number of variables.  A member with more than ``cap``
+    assignments ends the scan: the members before it are scanned, then
+    ``CapExceeded`` is raised.
     """
     members = _members(owner)
     if members:
@@ -552,12 +607,20 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
     stop = next((i for i, n in enumerate(totals) if n > cap), len(members))
     starts = _offsets(totals)
     lo, end = 0, starts[stop]
+    big = _next_big(totals, 0, stop) if end > _BLOCK else stop
     while lo < end:
-        hi = min(lo + _BLOCK, end)
-        args = (nvars, stop, lo, hi)
-        ops, digits = derived(owner, assignment_layout, *args) if hi - lo == end else assignment_layout(owner, *args)
+        first = starts[big]
+        if lo < first:
+            hi = min(lo + _BLOCK, first)
+            args = (nvars, stop, lo, hi)
+            ops, digits = derived(owner, assignment_layout, *args) if hi - lo == end else assignment_layout(owner, *args)
+            flat = bad = np.ones(hi - lo, dtype=bool)
+        else:
+            ops, shape, digits = box_layout(members[big], nvars, lo - first)
+            hi = lo + math.prod(shape)
+            flat = np.ones(hi - lo, dtype=bool)
+            bad = flat.reshape(shape)  # the same flags, read in C order
         env = dict(zip(variables, digits))
-        bad = np.ones(hi - lo, dtype=bool)
         for lhs, rhs in sent.premises:
             bad &= term_values(lhs, ops, env) == term_values(rhs, ops, env)
             if not np.count_nonzero(bad):
@@ -565,7 +628,7 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
         else:
             for lhs, rhs in sent.conclusions:
                 bad &= term_values(lhs, ops, env) != term_values(rhs, ops, env)
-            failing = bad.nonzero()[0]
+            failing = flat.nonzero()[0]
             j = 0
             while j < failing.size:
                 c = lo + int(failing[j])
@@ -574,9 +637,12 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
                 hi = max(hi, starts[i + 1])
                 j = int(failing.searchsorted(starts[i + 1] - lo))
         lo = hi
+        if big < stop and lo == starts[big + 1]:
+            big = _next_big(totals, big + 1, stop)
     if stop < len(members):
         raise CapExceeded(
-            f"sentence needs {totals[stop]} assignments on this algebra, cap is {cap}"
+            f"sentence needs {totals[stop]} assignments on this algebra, cap is {cap} "
+            f"(EVAL_CAP, default {EVAL_CAP}); raise --cap or use fewer variables"
         )
 
 

@@ -84,7 +84,7 @@ def test_free_algebra_caps_and_errors():
         free_algebra(AlgebraCatalog("heyting", ()), 1)
     with pytest.raises(InputError):
         free_algebra(two_chain_catalog(), -1)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="cap is 4 [(]COORD_CAP, default 64[)]; raise --coord-cap or lower k"):
         free_algebra(goedel_catalog(), 2, coord_cap=4)
     with pytest.raises(CapExceeded):
         free_algebra(two_chain_catalog(), 2, element_cap=10)

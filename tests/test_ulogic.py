@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ def test_eval_sentence_signature_and_cap():
     three = translate(parse_rule("/ p | (q -> r)", "heyting"))
     with pytest.raises(CapExceeded):
         eval_sentence(chain_heyting(3), three, cap=10)
+
+
+def test_sentence_scans_at_the_eval_cap():
+    # The largest scans EVAL_CAP admits finish within a budget: 56**4 =
+    # 9,834,496 assignments on the 56-chain, 2048**2 = 4,194,304 on the
+    # 11-atom discrete algebra.  The 57-chain at four variables is refused
+    # at once.
+    distributive = translate(parse_rule("/ (p & (q | r)) | s -> ((p & q) | (p & r)) | s", "heyting"))
+    box_meet = translate(parse_rule("/ box (p & q) -> box p & box q", "modal"))
+    discrete = complex_algebra(FinitePoset(11, np.eye(11, dtype=bool)))
+    for alg, sent, budget in ((chain_heyting(56), distributive, 1.0), (discrete, box_meet, 0.5)):
+        assert alg.size ** len(sent.variables) <= ulogic.EVAL_CAP
+        start = time.perf_counter()
+        assert eval_sentence(alg, sent) == {"valid": True, "counterexample": None}
+        assert time.perf_counter() - start < budget
+    chain57 = chain_heyting(57)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="needs 10556001 assignments on this algebra, cap is 10000000 [(]EVAL_CAP"):
+        eval_sentence(chain57, distributive)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_catalog_validates_names_the_first_failure():
@@ -353,9 +374,13 @@ def member_failures(members, sent, cap=ulogic.EVAL_CAP):
     for i, alg in enumerate(members):
         total = alg.size**n
         if total > cap:
-            raise CapExceeded(f"sentence needs {total} assignments on this algebra, cap is {cap}")
-        grid = np.array(list(itertools.product(range(alg.size), repeat=n)), dtype=np.int64)
-        env = dict(zip(sent.variables, grid.reshape(total, n).T))
+            raise CapExceeded(
+                f"sentence needs {total} assignments on this algebra, cap is {cap} "
+                f"(EVAL_CAP, default {ulogic.EVAL_CAP}); raise --cap or use fewer variables"
+            )
+        # Row v holds variable v's value in every assignment, in lexicographic order.
+        grid = np.indices((alg.size,) * n).reshape(n, total)
+        env = dict(zip(sent.variables, grid))
         bad = np.ones(total, dtype=bool)
         for lhs, rhs in sent.premises:
             bad &= np_value(alg, lhs, env) == np_value(alg, rhs, env)
@@ -380,8 +405,24 @@ def random_catalog(rng, signature, count):
     return AlgebraCatalog(signature, tuple(members))
 
 
+def assert_scan_matches(K, sent):
+    """The catalog scan, its first failure and each member's own scan agree
+    with the per-member loop; returns the loop's failures."""
+    want = list(member_failures(K.members, sent))
+    assert list(ulogic.refutations(K, sent)) == want
+    first = {"valid": True, "failing_member": None, "counterexample": None}
+    if want:
+        first = {"valid": False, "failing_member": want[0][0], "counterexample": want[0][1]}
+    assert catalog_validates(K, sent) == first
+    for i, A in enumerate(K.members):
+        cex = dict(want).get(i)
+        assert eval_sentence(A, sent) == {"valid": cex is None, "counterexample": cex}
+    return want
+
+
 def test_catalog_scan_matches_the_per_member_loop():
     rng = random.Random(20261023)
+    place = random.Random(20261019)
     names = ("p", "q", "r", "s")
     seen = {"heyting": set(), "modal": set()}
     for trial in range(240):
@@ -390,6 +431,12 @@ def test_catalog_scan_matches_the_per_member_loop():
         nvars = trial % 5  # 0 to 4 variables
         if nvars == 4:  # keep the brute force small
             K = AlgebraCatalog(signature, tuple(A for A in K.members if A.size <= 4) or K.members[:1])
+        # Now and then a member over one block, scanned in sub-boxes: an 11-
+        # or 10-chain at four variables, a 7-point complex algebra at two.
+        big = {4: chain_heyting(10 + trial % 20 // 10), 7: complex_algebra(random_poset(place, 7))}.get(trial % 10)
+        if big is not None:
+            at = place.randrange(len(K.members) + 1)
+            K = AlgebraCatalog(signature, K.members[:at] + (big,) + K.members[at:])
         sent = random_sentence(rng, signature, names[: max(nvars, 1)])
         # With no variables, every formula is closed by a constant for p.
         close = {} if nvars else {"p": Const(rng.choice(("bot", "top")))}
@@ -399,13 +446,7 @@ def test_catalog_scan_matches_the_per_member_loop():
             signature,
             names[:nvars],
         )
-        want = list(member_failures(K.members, sent))
-        assert list(ulogic.refutations(K, sent)) == want
-        assert catalog_validates(K, sent) == first_failure(K.members, sent)
-        for i, A in enumerate(K.members):
-            cex = dict(want).get(i)
-            assert eval_sentence(A, sent) == {"valid": cex is None, "counterexample": cex}
-        seen[signature].add(bool(want))
+        seen[signature].add(bool(assert_scan_matches(K, sent)))
     assert seen == {"heyting": {True, False}, "modal": {True, False}}
 
 
@@ -428,9 +469,10 @@ def two_below_one():
 
 
 def lines_through_blocks():
-    """A catalog over three blocks whose first refutation lies past the
-    first block boundary, in its third member; no premise holds in the first
-    block, so the scan leaves it early."""
+    """A catalog whose first refutation lies past the first block boundary,
+    in its third member.  Each 10-chain has more than one block of
+    assignments and is scanned alone in two sub-boxes, q over 0-7 and then
+    over 8-9; no premise holds in the first, so the scan leaves it early."""
     chain10, chain3 = chain_heyting(10), chain_heyting(3)
     K = AlgebraCatalog("heyting", (chain10, chain3, two_below_one(), chain10, two_below_one()))
     doc = {"premises": [["q", "top"]], "conclusions": [["(p -> r) | (r -> p)", "top"]]}
@@ -438,11 +480,17 @@ def lines_through_blocks():
     return K, UniversalSentence(sent.premises, sent.conclusions, "heyting", ("q", "p", "r", "s"))
 
 
+def sentence_over(K, doc, variables):
+    """The sentence of a JSON document over these variables, in this order."""
+    sent = sentence_from_json(doc, K.kind)
+    return UniversalSentence(sent.premises, sent.conclusions, K.kind, variables)
+
+
 def test_catalog_scan_across_block_boundaries():
     K, sent = lines_through_blocks()
     block = ulogic._BLOCK
     totals = [A.size**4 for A in K.members]
-    assert sum(totals) > 2 * block and totals[0] > block  # three blocks
+    assert sum(totals) > 2 * block and totals[0] > block
     # q is the first digit: q = top (9) never occurs in the first block.
     assert (block - 1) // 1000 < 9
     want = list(member_failures(K.members, sent))
@@ -450,10 +498,82 @@ def test_catalog_scan_across_block_boundaries():
     assert sum(totals[:2]) + ulogic_index(want[0][1], sent.variables, 4) > block
     assert list(ulogic.refutations(K, sent)) == want
     assert catalog_validates(K, sent) == first_failure(K.members, sent)
-    # A member that fails inside a block and runs on into the next one.
+    # A member that fails in its first sub-box, so the rest of it is
+    # skipped, and a 9-chain that fails inside a flat block and runs on
+    # into the next one.
     em = UniversalSentence((), ((parse_formula("p | ~p", "heyting"), Const("top")),), "heyting", ("p", "q", "r", "s"))
-    K2 = AlgebraCatalog("heyting", (chain_heyting(2), chain_heyting(10), two_below_one(), chain_heyting(9)))
-    assert list(ulogic.refutations(K2, em)) == list(member_failures(K2.members, em))
+    chain9 = chain_heyting(9)
+    K2 = AlgebraCatalog("heyting", (chain_heyting(2), chain_heyting(10), two_below_one(), chain9, chain9, chain_heyting(2)))
+    assert [i for i, _ in assert_scan_matches(K2, em)] == [1, 2, 3, 4]
+
+    # Members over one block are scanned alone, in sub-boxes of their
+    # assignment product, with small members before, between and after
+    # them.  At four variables the first variable runs over 0-7 and 8-9 on
+    # the 10-chain, over 0-5 and 6-10 on the 11-chain, and three values at
+    # a time on the 13-chain.  On a 7-point complex algebra (128 elements)
+    # it runs over 0-63 and 64-127 at two variables; at three it is fixed
+    # and the second one runs.  At eight variables on the 5-chain the first
+    # two are fixed and the third runs over 0-1, 2-3 and 4.
+    chains = AlgebraCatalog(
+        "heyting",
+        (two_below_one(), chain_heyting(10), chain_heyting(2), chain_heyting(11), chain_heyting(11), chain9, two_below_one()),
+    )
+    seven = complex_algebra(random_poset(random.Random(7), 7))
+    frames = AlgebraCatalog("modal", (make_standard("S2"), seven, complex_algebra(random_poset(random.Random(3), 3)), seven, trivial_modal()))
+    one_seven = AlgebraCatalog("modal", (make_standard("S2"), seven, trivial_modal()))
+    pqrs, upqr, puqr = ("p", "q", "r", "s"), ("u", "p", "q", "r"), ("p", "u", "q", "r")
+    late = {"premises": [["p", "top"]], "conclusions": [["q | ~q", "top"]]}
+    cases = [
+        (chains, late, pqrs),  # the premise empties the first sub-box
+        (chains, late, upqr),  # a first variable no formula uses
+        (chains, late, puqr),
+        (chains, {"conclusions": [["(p -> q) | (q -> p)", "top"], ["r & s", "bot"]]}, pqrs),
+        (chains, {"premises": [["p", "top"], ["s", "top"]]}, pqrs),  # no conclusion
+        (chains, {"premises": [["top", "top"]], "conclusions": [["bot", "top"]]}, pqrs),  # constant sides
+        (chains, {"premises": [["bot", "top"]], "conclusions": [["p", "q"]]}, pqrs),
+        (chains, {"conclusions": [["(p & (q | r)) | s", "((p & q) | (p & r)) | s"]]}, pqrs),
+        (frames, {"premises": [["p", "top"]], "conclusions": [["q", "box q"]]}, ("p", "q")),
+        (frames, {"conclusions": [["p", "box p"], ["q", "top"]]}, ("p", "q")),
+        (frames, {"conclusions": [["box (p & q)", "box p & box q"]]}, ("p", "q")),
+        (frames, {"conclusions": [["p", "box p"]]}, ("u", "p")),
+        (frames, {"premises": [["p | q", "top"], ["p & q", "bot"], ["box p", "p"]]}, ("p", "q")),
+        (frames, {"conclusions": [["top", "bot"]]}, ("p", "q")),
+        (one_seven, {"premises": [["p", "top"], ["q", "top"]], "conclusions": [["r", "box r"]]}, ("p", "q", "r")),
+        (one_seven, {"conclusions": [["box (p & q) & r", "box p & box q & r"]]}, ("p", "q", "r")),
+        (one_seven, {"conclusions": [["p & q", "box (p & q)"]]}, ("u", "p", "q")),
+        (
+            AlgebraCatalog("heyting", (chain_heyting(3), chain_heyting(13), chain_heyting(2))),
+            # Refuted by s < r < q < p above bot, so first at p = 4.
+            {
+                "premises": [["q -> p", "top"], ["r -> q", "top"], ["s -> r", "top"]],
+                "conclusions": [["p", "q"], ["q", "r"], ["r", "s"], ["s", "bot"]],
+            },
+            pqrs,
+        ),
+        (
+            AlgebraCatalog("heyting", (chain_heyting(2), chain_heyting(5))),
+            {"premises": [["p", "top"], ["q", "bot"]], "conclusions": [["r | ~r", "top"]]},
+            ("p", "q", "r", "s", "t", "u", "v", "w"),
+        ),
+    ]
+    found = []
+    for K, doc, variables in cases:
+        assert any(A.size ** len(variables) > block for A in K.members)
+        found.append(assert_scan_matches(K, sentence_over(K, doc, variables)))
+    assert found[0][:2] == [(0, {"p": 4, "q": 1, "r": 0, "s": 0}), (1, {"p": 9, "q": 1, "r": 0, "s": 0})]
+    assert found[1][1] == (1, {"u": 0, "p": 9, "q": 1, "r": 0})
+    assert found[4][3] == (3, {"p": 10, "q": 0, "r": 0, "s": 10})
+    assert found[6] == found[7] == found[10] == found[15] == []
+    assert found[8][1] == (1, {"p": seven.top, "q": 2})
+    assert found[14][1] == (1, {"p": seven.top, "q": seven.top, "r": 2})
+    assert found[17] == [(1, {"p": 4, "q": 3, "r": 2, "s": 1})]
+    assert found[18] == [(1, {"p": 4, "q": 0, "r": 1, "s": 0, "t": 0, "u": 0, "v": 0, "w": 0})]
+    # The brute-force reference, assignment by assignment, on the members
+    # over one block where the least counterexample lies in a later block.
+    for K, doc, variables in cases[:3]:
+        sent = sentence_over(K, doc, variables)
+        for A in K.members[1], K.members[3]:
+            assert eval_sentence(A, sent) == ref_eval_sentence(A, sent)
 
 
 def ulogic_index(cex, variables, size):
@@ -476,13 +596,38 @@ def test_catalog_scan_cap_order():
         first_failure(tail.members, holds, cap=5000)
     with pytest.raises(CapExceeded) as got:
         catalog_validates(tail, holds, cap=5000)
-    assert str(got.value) == str(want.value) == "sentence needs 10000 assignments on this algebra, cap is 5000"
+    assert str(got.value) == str(want.value) == (
+        "sentence needs 10000 assignments on this algebra, cap is 5000 "
+        "(EVAL_CAP, default 10000000); raise --cap or use fewer variables"
+    )
     with pytest.raises(CapExceeded) as got:
         eval_sentence(chain_heyting(10), holds, cap=9999)
-    assert str(got.value) == "sentence needs 10000 assignments on this algebra, cap is 9999"
+    assert str(got.value) == (
+        "sentence needs 10000 assignments on this algebra, cap is 9999 "
+        "(EVAL_CAP, default 10000000); raise --cap or use fewer variables"
+    )
     # A full scan for per-member verdicts refuses after the members before it.
     with pytest.raises(CapExceeded):
         dict(ulogic.refutations(tail, sent, cap=5000))
+    # Members over one block before the refused one are scanned in sub-boxes.
+    boxed = AlgebraCatalog("heyting", (chain_heyting(10), two_below_one(), chain_heyting(11), chain_heyting(3)))
+    for cap in (12000, 9999):
+        for s in (sent, holds):
+            want = until_refused(member_failures(boxed.members, s, cap))
+            assert until_refused(ulogic.refutations(boxed, s, cap)) == want
+    assert until_refused(ulogic.refutations(boxed, sent, 12000)) == (
+        [(1, {"q": 4, "p": 1, "r": 2, "s": 0})],
+        "sentence needs 14641 assignments on this algebra, cap is 12000 "
+        "(EVAL_CAP, default 10000000); raise --cap or use fewer variables",
+    )
+
+
+def until_refused(failures):
+    """What a scan yields before it is refused, and the refusal."""
+    got = []
+    with pytest.raises(CapExceeded) as refusal:
+        got.extend(failures)
+    return got, str(refusal.value)
 
 
 def test_catalog_scan_signature_mismatch():
