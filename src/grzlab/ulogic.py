@@ -607,6 +607,8 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
     stop = next((i for i, n in enumerate(totals) if n > cap), len(members))
     starts = _offsets(totals)
     lo, end = 0, starts[stop]
+    # The next member scanned alone in sub-boxes, or stop; flat blocks end
+    # where it begins.  A scan that fits in one block has none.
     big = _next_big(totals, 0, stop) if end > _BLOCK else stop
     while lo < end:
         first = starts[big]
