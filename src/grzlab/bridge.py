@@ -363,7 +363,10 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
     With finitely many finite members, ultraproducts are isomorphic to
     members, so the universal class is closed-under-substructure of the
     members, the quasivariety is separation by homomorphisms into members,
-    and the variety is tested through the bounded free algebra.
+    and the variety is tested through the bounded free algebra.  The
+    universal mode takes the members in catalog order up to the first one
+    F embeds into; each (F, member) answer is searched once and kept on F
+    (``_first_injection``), and the certificate map is a fresh copy.
     """
     if mode not in ("universal", "quasivariety", "variety"):
         raise InputError("mode must be universal, quasivariety, or variety")
@@ -441,13 +444,42 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
     return {"holds": holds, "mode": mode, "certificate": cert}
 
 
+def _per_target(F, build, A):
+    """``build(F, A)``, computed once per (F, A) and kept in F's derived store.
+
+    Algebras do not hash (their tables are arrays), so F keeps one dict per
+    ``build`` through ``derived``, keyed by ``id(A)``.  Each entry holds A
+    itself, so the id cannot be reused while the entry lives.  A refusal
+    raised by ``build`` is not stored.  Values are immutable; callers hand
+    out copies.
+    """
+    kept = derived(F, _target_store, build)
+    entry = kept.get(id(A))
+    if entry is None:
+        entry = kept[id(A)] = (A, build(F, A))
+    return entry[1]
+
+
+def _target_store(F, build) -> dict:
+    return {}
+
+
 def _first_injection(F, A) -> list[int] | None:
-    """The table of the first embedding of F into A in table order, if any."""
+    """The table of the first embedding of F into A in table order, if any.
+
+    Searched once per (F, A) pair and kept on F; each call gets a fresh
+    copy of the table.
+    """
+    table = _per_target(F, _search_first_injection, A)
+    return None if table is None else list(table)
+
+
+def _search_first_injection(F, A) -> tuple[int, ...] | None:
     if isinstance(F, HeytingAlgebra):
         h = next(_heyting_hom_search(F, A, mode="injective"), None)
-        return None if h is None else list(h.table)
+        return None if h is None else h.table
     h = next(_hom_search(F, A, mode="injective"), None)
-    return None if h is None else h.table()
+    return None if h is None else tuple(h.table())
 
 
 def _homs(F, A) -> list[list[int]]:
@@ -466,6 +498,11 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
     to B(H) and composes it with M ≅ BO(M); the assembled map must pass
     its own checks.  Disagreement would refute the correspondence at this
     scale and raises.
+
+    Every search is made once per pair: the first embeddings M → B(H) and
+    O(M) → H are kept on M and on O(M) (``_first_injection``), and the
+    assembled embedding M → B(H) is kept on M per H, as it depends only on
+    (M, H).  Each call gets fresh copies of the certificate maps.
     """
     require_grz(M)
     if K.kind != "heyting":
@@ -477,17 +514,9 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
 
     t3: dict = {"holds": False, "certificate": None}
     if t2["holds"]:
-        i, f0 = t2["certificate"]["member"], t2["certificate"]["map"]
-        BH, embH = boolean_extension(K.members[i])
-        lift = extend_hom(O_alg, BH, {a: embH[f0[a]] for a in range(O_alg.size)})
-        m_iso, _ = finite_blok_check(M)
-        total = Homomorphism(
-            M, BH, "modal",
-            {a: lift.values[v] for a, v in m_iso.values.items()},
-        )
-        if total.verify() or not total.injective:
-            raise InternalCheckError("assembled embedding fails its checks")
-        t3 = {"holds": True, "certificate": {"member": i, "map": total.table()}}
+        i = t2["certificate"]["member"]
+        table = _per_target(M, _embedding_into_extension, K.members[i])
+        t3 = {"holds": True, "certificate": {"member": i, "map": list(table)}}
 
     answers = (t1["holds"], t2["holds"], t3["holds"])
     if len(set(answers)) != 1:
@@ -502,3 +531,21 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
             "embeds_into_extension": t3,
         },
     }
+
+
+def _embedding_into_extension(M: ModalAlgebra, H: HeytingAlgebra) -> tuple[int, ...]:
+    """The first embedding O(M) → H lifted to B(H) and composed with M ≅ BO(M)."""
+    O_alg, _ = open_algebra(M)
+    f0 = _first_injection(O_alg, H)
+    if f0 is None:
+        raise InputError("the opens of M do not embed into H")
+    BH, embH = boolean_extension(H)
+    lift = extend_hom(O_alg, BH, {a: embH[v] for a, v in enumerate(f0)})
+    m_iso, _ = finite_blok_check(M)
+    total = Homomorphism(
+        M, BH, "modal",
+        {a: lift.values[v] for a, v in m_iso.values.items()},
+    )
+    if total.verify() or not total.injective:
+        raise InternalCheckError("assembled embedding fails its checks")
+    return tuple(total.table())

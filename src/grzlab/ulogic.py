@@ -596,7 +596,8 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
     fits in one block keeps its operation set and variable values on the
     owner, per number of variables.  A member with more than ``cap``
     assignments ends the scan: the members before it are scanned, then
-    ``CapExceeded`` is raised.
+    ``CapExceeded`` is raised, naming the member's index and size when
+    ``owner`` is a catalog.
     """
     members = _members(owner)
     if members:
@@ -642,8 +643,12 @@ def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
         if big < stop and lo == starts[big + 1]:
             big = _next_big(totals, big + 1, stop)
     if stop < len(members):
+        where = (
+            f"catalog member {stop} ({members[stop].size} elements)"
+            if isinstance(owner, AlgebraCatalog) else "this algebra"
+        )
         raise CapExceeded(
-            f"sentence needs {totals[stop]} assignments on this algebra, cap is {cap} "
+            f"sentence needs {totals[stop]} assignments on {where}, cap is {cap} "
             f"(EVAL_CAP, default {EVAL_CAP}); raise --cap or use fewer variables"
         )
 

@@ -1,5 +1,8 @@
 """The two translations, staged eliminations, and the catalog correspondence."""
 
+import itertools
+import time
+
 import pytest
 
 from grzlab.bridge import (
@@ -14,7 +17,7 @@ from grzlab.bridge import (
     rho_catalog,
     sigma_catalog,
 )
-from grzlab.catalog import AlgebraCatalog
+from grzlab.catalog import AlgebraCatalog, enumerate_heyting, grz_members, interior_catalog
 from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import (
     antichain_poset,
@@ -235,3 +238,22 @@ def test_blok_esakia_catalog_check_input_errors():
     Y = sigma_catalog(K)
     with pytest.raises(InputError):
         blok_esakia_catalog_check(Y, complex_algebra(chain_poset(2)))
+
+
+def test_criterion_8_grid_within_budget():
+    # Members rebuilt from their records keep no pairs yet, so the whole
+    # grid runs cold even after other tests; about 0.1 s was measured.
+    def fresh(alg):
+        return type(alg).from_record(alg.to_record())
+
+    grz = [fresh(M) for M in grz_members(interior_catalog(3))]
+    pool = [fresh(H) for H in enumerate_heyting(5)]
+    start = time.perf_counter()
+    holds = [
+        blok_esakia_catalog_check(AlgebraCatalog("heyting", tuple(pool[i] for i in subset)), M)["holds"]
+        for M in grz
+        for r in range(1, len(pool) + 1)
+        for subset in itertools.combinations(range(len(pool)), r)
+    ]
+    assert time.perf_counter() - start < 1.0
+    assert (len(holds), sum(holds)) == (2295, 1206)

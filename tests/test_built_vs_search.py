@@ -186,18 +186,37 @@ def all_then_first(K, M):
     return t1, t2, t3
 
 
+def fresh(alg):
+    return type(alg).from_record(alg.to_record())
+
+
+def membership_certificates(K, M):
+    tests = blok_esakia_catalog_check(K, M)["tests"]
+    return tuple(
+        tests[key]["certificate"]
+        for key in ("in_extended_universal", "opens_in_universal", "embeds_into_extension")
+    )
+
+
 def test_membership_certificates_match_all_then_first():
+    # Members rebuilt from their records start with no kept pairs: the
+    # cells run cold, then warm in reverse order, then warm again.
     rng = random.Random(SEED)
-    grz = grz_members(interior_catalog(3))
-    pool = enumerate_heyting(5)
+    grz = [fresh(M) for M in grz_members(interior_catalog(3))]
+    pool = [fresh(H) for H in enumerate_heyting(5)]
     subsets = [
         s for r in range(1, len(pool) + 1) for s in itertools.combinations(range(len(pool)), r)
     ]
-    for m, subset in rng.sample(list(itertools.product(range(len(grz)), subsets)), 60):
-        K = AlgebraCatalog("heyting", tuple(pool[i] for i in subset), "subset")
-        tests = blok_esakia_catalog_check(K, grz[m])["tests"]
-        got = tuple(
-            tests[key]["certificate"]
-            for key in ("in_extended_universal", "opens_in_universal", "embeds_into_extension")
-        )
-        assert got == all_then_first(K, grz[m])
+    cells = [
+        (AlgebraCatalog("heyting", tuple(pool[i] for i in subset), "subset"), grz[m])
+        for m, subset in rng.sample(list(itertools.product(range(len(grz)), subsets)), 60)
+    ]
+    want = [all_then_first(K, M) for K, M in cells]
+    order = list(range(len(cells)))
+    for c in order + order[::-1] + order:
+        assert membership_certificates(*cells[c]) == want[c]
+    # Mutating the returned maps leaves the kept answers alone.
+    c = next(c for c in order if want[c][2] is not None)
+    for cert in membership_certificates(*cells[c]):
+        cert["map"][0] = -1
+    assert membership_certificates(*cells[c]) == want[c]

@@ -4,7 +4,8 @@ Every memoised function is called twice on one instance and once on a copy
 rebuilt from its record; the warm answer must equal the cold one.  Mutating
 a returned list, dict or homomorphism table must not reach the cache, the
 defining fields cannot be rebound, and a refusal is raised again rather
-than remembered.
+than remembered.  Membership searches are kept per pair of instances, so
+two equal copies of a target get one entry each.
 """
 
 import copy
@@ -13,13 +14,21 @@ import random
 import numpy as np
 import pytest
 
-from grzlab.bridge import boolean_extension, finite_blok_check, open_algebra
-from grzlab.catalog import enumerate_heyting, interior_catalog
+from grzlab import bridge
+from grzlab.bridge import (
+    blok_esakia_catalog_check,
+    boolean_extension,
+    finite_blok_check,
+    open_algebra,
+)
+from grzlab.catalog import AlgebraCatalog, enumerate_heyting, interior_catalog
 from grzlab.errors import CapExceeded
 from grzlab.finlat import (
     FinitePoset,
     canonical_key,
     chain_heyting,
+    chain_poset,
+    derived,
     heyting_hom_search,
     join_irreducible_poset,
     join_irreducibles,
@@ -153,3 +162,32 @@ def test_refusal_is_not_cached():
     for _ in range(2):
         with pytest.raises(CapExceeded):
             boolean_extension(H)
+    # O(M) is the 3-chain and embeds into H, but B(H) is refused: the pair
+    # (M, H) keeps no entry.
+    M = complex_algebra(chain_poset(2))
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            bridge._per_target(M, bridge._embedding_into_extension, H)
+    assert id(H) not in derived(M, bridge._target_store, bridge._embedding_into_extension)
+
+
+def test_membership_pairs_are_kept_per_target():
+    # Two equal copies of one member are two targets: each has its own
+    # entry, which holds that copy, and the answers agree.
+    M = fresh(complex_algebra(chain_poset(2)))
+    H1, H2 = fresh(CHAIN3), fresh(CHAIN3)
+    assert H1 is not H2 and H1.to_record() == H2.to_record()
+    got = [blok_esakia_catalog_check(AlgebraCatalog("heyting", (H,)), M) for H in (H1, H2)]
+    assert got[0] == got[1] and got[0]["holds"]
+    O_alg, _ = open_algebra(M)
+    B1, B2 = boolean_extension(H1)[0], boolean_extension(H2)[0]
+    for F, build, targets in (
+        (M, bridge._search_first_injection, (B1, B2)),
+        (O_alg, bridge._search_first_injection, (H1, H2)),
+        (M, bridge._embedding_into_extension, (H1, H2)),
+    ):
+        kept = derived(F, bridge._target_store, build)
+        assert sorted(kept) == sorted(map(id, targets))
+        assert all(kept[id(A)][0] is A for A in targets)
+        assert kept[id(targets[0])][1] is not None
+        assert kept[id(targets[0])][1] == kept[id(targets[1])][1]

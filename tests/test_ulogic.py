@@ -375,7 +375,8 @@ def member_failures(members, sent, cap=ulogic.EVAL_CAP):
         total = alg.size**n
         if total > cap:
             raise CapExceeded(
-                f"sentence needs {total} assignments on this algebra, cap is {cap} "
+                f"sentence needs {total} assignments on catalog member {i} "
+                f"({alg.size} elements), cap is {cap} "
                 f"(EVAL_CAP, default {ulogic.EVAL_CAP}); raise --cap or use fewer variables"
             )
         # Row v holds variable v's value in every assignment, in lexicographic order.
@@ -597,7 +598,7 @@ def test_catalog_scan_cap_order():
     with pytest.raises(CapExceeded) as got:
         catalog_validates(tail, holds, cap=5000)
     assert str(got.value) == str(want.value) == (
-        "sentence needs 10000 assignments on this algebra, cap is 5000 "
+        "sentence needs 10000 assignments on catalog member 2 (10 elements), cap is 5000 "
         "(EVAL_CAP, default 10000000); raise --cap or use fewer variables"
     )
     with pytest.raises(CapExceeded) as got:
@@ -617,7 +618,7 @@ def test_catalog_scan_cap_order():
             assert until_refused(ulogic.refutations(boxed, s, cap)) == want
     assert until_refused(ulogic.refutations(boxed, sent, 12000)) == (
         [(1, {"q": 4, "p": 1, "r": 2, "s": 0})],
-        "sentence needs 14641 assignments on this algebra, cap is 12000 "
+        "sentence needs 14641 assignments on catalog member 2 (11 elements), cap is 12000 "
         "(EVAL_CAP, default 10000000); raise --cap or use fewer variables",
     )
 
