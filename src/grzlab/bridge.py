@@ -534,11 +534,12 @@ def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:
 
 
 def _embedding_into_extension(M: ModalAlgebra, H: HeytingAlgebra) -> tuple[int, ...]:
-    """The first embedding O(M) → H lifted to B(H) and composed with M ≅ BO(M)."""
+    """The first embedding O(M) → H lifted to B(H) and composed with M ≅ BO(M).
+
+    O(M) must embed into H: the caller has found that it does (route 2).
+    """
     O_alg, _ = open_algebra(M)
     f0 = _first_injection(O_alg, H)
-    if f0 is None:
-        raise InputError("the opens of M do not embed into H")
     BH, embH = boolean_extension(H)
     lift = extend_hom(O_alg, BH, {a: embH[v] for a, v in enumerate(f0)})
     m_iso, _ = finite_blok_check(M)
