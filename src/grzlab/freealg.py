@@ -30,6 +30,7 @@ from .ulogic import (
     Or,
     UniversalSentence,
     Var,
+    assignment,
     assignment_layout,
     eval_formula,
     refutations,
@@ -228,7 +229,7 @@ def weakly_admissible_k(K: AlgebraCatalog, v: UniversalSentence, k: int) -> dict
     expected = "heyting" if K.kind == "heyting" else "modal"
     if v.signature != expected:
         raise InputError("sentence signature does not match the catalog")
-    failing = dict(refutations(K, v))
+    failing = {i for _, i, _ in refutations(K, (v,))}
     kept = tuple(A for i, A in enumerate(K.members) if i not in failing)
     restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
     free = free_algebra(K, k)
@@ -256,24 +257,34 @@ def completeness_report_k(
     if mode not in ("structural", "universal"):
         raise InputError("mode must be 'structural' or 'universal'")
     free = free_algebra(K, k)
-    memo: dict[tuple[bool, ...], bool] = {}
+    # Structural mode refuses the first multi-conclusion candidate, after
+    # the candidates before it.
+    scanned = len(candidates)
+    if mode == "structural":
+        scanned = next((s for s, v in enumerate(candidates) if len(v.conclusions) != 1), scanned)
+    failing: dict[int, list[tuple[int, int]]] = {}
+    for s, i, t in refutations(K, candidates[:scanned]):
+        failing.setdefault(s, []).append((i, t))
+    # Whether a candidate is admissible depends only on the members it
+    # fails on; only a failing candidate can be a violation.
+    admissible: dict[tuple[int, ...], bool] = {}
     violations = []
-    for v in candidates:
-        if mode == "structural" and len(v.conclusions) != 1:
-            raise InputError("structural mode admits only single-conclusion candidates")
-        failing = dict(refutations(K, v))
-        per_member = tuple(i not in failing for i in range(len(K.members)))
-        if per_member not in memo:
-            kept = tuple(A for b, A in zip(per_member, K.members) if b)
+    for s in sorted(failing):
+        fails = failing[s]
+        pattern = tuple(i for i, _ in fails)
+        if pattern not in admissible:
+            kept = tuple(A for i, A in enumerate(K.members) if i not in pattern)
             restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
-            memo[per_member] = class_membership(
-                free.algebra, restricted, "quasivariety"
-            )["holds"]
-        admissible = memo[per_member]
-        if admissible and failing:
+            admissible[pattern] = class_membership(free.algebra, restricted, "quasivariety")["holds"]
+        if admissible[pattern]:
+            v = candidates[s]
+            i, t = fails[0]
             record = sentence_to_json(v)
-            record["failing_member"], record["counterexample"] = next(iter(failing.items()))
+            record["failing_member"] = i
+            record["counterexample"] = assignment(v.variables, t, K.members[i].size)
             violations.append(record)
+    if scanned < len(candidates):
+        raise InputError("structural mode admits only single-conclusion candidates")
     return {
         "mode": mode,
         "k": k,

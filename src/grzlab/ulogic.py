@@ -318,14 +318,6 @@ def _render(f: Formula, level: int) -> str:
     return "(" + s + ")" if need else s
 
 
-def rule_to_text(rule: Rule) -> str:
-    return (
-        ", ".join(to_text(f) for f in rule.premises)
-        + " / "
-        + ", ".join(to_text(f) for f in rule.conclusions)
-    ).strip()
-
-
 def sentence_from_json(doc: dict, signature: str) -> UniversalSentence:
     """Equations as pairs of term strings, premises then conclusions."""
     if not isinstance(doc, dict):
@@ -373,8 +365,19 @@ def sentence_to_json(sent: UniversalSentence) -> dict:
 # with one axis per varying variable, so numpy broadcasting computes a
 # subterm only over its own variables' axes.  Either block, read in C
 # order, is a run of consecutive coordinates.
+#
+# A scan takes a list of sentences.  Sentences with the same ``variables``
+# tuple share their variable values, so they are scanned together, in
+# chunks of at most ``_CELLS // block`` sentences.  In each block a chunk
+# compares each distinct (lhs, rhs) equation once, keyed by the identity of
+# its two formulas (a frozen formula hashes by recursing, an id does not),
+# and ANDs the row into the rows of the sentences that use it: one matrix
+# of sentences by coordinates.  Its refuting cells, read in order, give
+# each (sentence, member) pair's least counterexample; the rest of that
+# member's cells are skipped.
 
 _BLOCK = 1 << 13
+_CELLS = 1 << 16
 
 
 def _offsets(lengths) -> list[int]:
@@ -416,21 +419,22 @@ class HeytingOps:
         self.bot = _spread(counts, [A.bot for A in members])
         self.top = _spread(counts, [A.top for A in members])
 
-    def _gather(self, table, x, y):
-        i = x * self.size + y
-        return table[i] if self.base is None else table[i + self.base]
-
+    # Each op gathers entry x * size + y of its table, past the member's offset.
     def meet(self, x, y):
-        return self._gather(self.meet_t, x, y)
+        i = x * self.size + y
+        return self.meet_t[i] if self.base is None else self.meet_t[i + self.base]
 
     def join(self, x, y):
-        return self._gather(self.join_t, x, y)
+        i = x * self.size + y
+        return self.join_t[i] if self.base is None else self.join_t[i + self.base]
 
     def imp(self, x, y):
-        return self._gather(self.imp_t, x, y)
+        i = x * self.size + y
+        return self.imp_t[i] if self.base is None else self.imp_t[i + self.base]
 
     def neg(self, x):
-        return self._gather(self.imp_t, x, self.bot)
+        i = x * self.size + self.bot
+        return self.imp_t[i] if self.base is None else self.imp_t[i + self.base]
 
     def box(self, x):
         raise InputError("box formula on a heyting algebra")
@@ -491,15 +495,19 @@ def term_values(f: Formula, ops, env):
     raise InputError(f"not a formula: {f!r}")
 
 
-def _require_signature(algebra, sent: UniversalSentence) -> None:
+def _signature(algebra) -> str:
+    """The signature of the sentences the algebra evaluates."""
     if isinstance(algebra, ModalAlgebra):
-        if sent.signature != "modal":
-            raise InputError("modal algebra needs a modal-signature sentence")
-    elif isinstance(algebra, HeytingAlgebra):
-        if sent.signature != "heyting":
-            raise InputError("heyting algebra needs a heyting-signature sentence")
-    else:
-        raise InputError(f"cannot evaluate on {type(algebra).__name__}")
+        return "modal"
+    if isinstance(algebra, HeytingAlgebra):
+        return "heyting"
+    raise InputError(f"cannot evaluate on {type(algebra).__name__}")
+
+
+def _require_signature(algebra, sent: UniversalSentence) -> None:
+    want = _signature(algebra)
+    if sent.signature != want:
+        raise InputError(f"{want} algebra needs a {want}-signature sentence")
 
 
 def _members(owner) -> tuple:
@@ -567,7 +575,7 @@ def box_layout(A, nvars: int, t: int):
     return ops, (run,) + (size,) * m, (*reversed(fixed), running, *axes)
 
 
-def _assignment(variables, t: int, size: int) -> dict[str, int]:
+def assignment(variables, t: int, size: int) -> dict[str, int]:
     """Assignment t of an algebra of this size, first variable most significant."""
     values = []
     for _ in variables:
@@ -576,80 +584,178 @@ def _assignment(variables, t: int, size: int) -> dict[str, int]:
     return dict(zip(variables, reversed(values)))
 
 
+def _extent(owner, nvars: int, cap: int):
+    """Each member's number of assignments, where each begins along the
+    coordinate axis, and the first member with more than cap of them, or
+    the number of members."""
+    totals = [A.size**nvars for A in _members(owner)]
+    return totals, _offsets(totals), next((i for i, n in enumerate(totals) if n > cap), len(totals))
+
+
 def _next_big(totals, i: int, stop: int) -> int:
     """The first member from i on with more than ``_BLOCK`` assignments, or stop."""
     return next((j for j in range(i, stop) if totals[j] > _BLOCK), stop)
 
 
-def refutations(owner, sent: UniversalSentence, cap: int = EVAL_CAP):
-    """Each member refuting the sentence, with its least counterexample.
+def _equations(sents, chunk):
+    """The distinct equations of the chunk's sentences, premises and
+    conclusions apart, each keyed by the identity of its two formulas, in
+    first-occurrence order; and, for each one that not every sentence uses,
+    the positions in the chunk of those that do."""
+    if len(chunk) == 1:
+        sent = sents[chunk[0]]
+        return (sent.premises, {}), (sent.conclusions, {})
+    sides = []
+    for side in ("premises", "conclusions"):
+        found: dict[tuple[int, int], tuple] = {}
+        for pos, s in enumerate(chunk):
+            for lhs, rhs in getattr(sents[s], side):
+                entry = found.get((id(lhs), id(rhs)))
+                if entry is None:
+                    entry = found[id(lhs), id(rhs)] = (lhs, rhs, [])
+                if not entry[2] or entry[2][-1] != pos:
+                    entry[2].append(pos)
+        users = {e: np.array(u) for e, (_, _, u) in enumerate(found.values()) if len(u) < len(chunk)}
+        sides.append(([(lhs, rhs) for lhs, rhs, _ in found.values()], users))
+    return sides
 
-    ``owner`` is a catalog or one algebra.  Yields (member index,
-    counterexample) in member order.  Every member's assignments are laid
-    end to end along one coordinate axis and scanned in blocks; once a
-    member fails, the rest of it is skipped.  A member with at most
-    ``_BLOCK`` assignments is scanned in flat blocks of up to ``_BLOCK``
-    coordinates that may span such members and stop where a larger member
-    begins (``assignment_layout``).  A larger member is scanned alone, in
-    blocks that are sub-boxes of its assignment product (``box_layout``),
-    so each subterm is computed only over its own variables.  A scan that
-    fits in one block keeps its operation set and variable values on the
-    owner, per number of variables.  A member with more than ``cap``
-    assignments ends the scan: the members before it are scanned, then
-    ``CapExceeded`` is raised, naming the member's index and size when
-    ``owner`` is a catalog.
+
+def _refuting(equations, n: int, shape, ops, env):
+    """Where n sentences fail in one block: an (n, *shape) matrix, or just
+    shape for one sentence, from the ``_equations`` of their premises and
+    conclusions; None when no premise holds anywhere."""
+    (premises, premise_users), (conclusions, conclusion_users) = equations
+    bad = np.empty(shape if n == 1 else (n, *shape), dtype=bool)
+    bad.fill(True)
+    for e, (lhs, rhs) in enumerate(premises):
+        holds = term_values(lhs, ops, env) == term_values(rhs, ops, env)
+        users = premise_users.get(e)
+        if users is None:
+            bad &= holds
+        else:
+            bad[users] &= holds
+        if not np.count_nonzero(bad):
+            return None
+    for e, (lhs, rhs) in enumerate(conclusions):
+        fails = term_values(lhs, ops, env) != term_values(rhs, ops, env)
+        users = conclusion_users.get(e)
+        if users is None:
+            bad &= fails
+        else:
+            bad[users] &= fails
+    return bad
+
+
+def refutations(owner, sents, cap: int = EVAL_CAP):
+    """Each (sentence, member) pair where the member refutes the sentence.
+
+    ``owner`` is a catalog or one algebra, ``sents`` a sequence of
+    sentences.  Yields (sentence index, member index, t), where t numbers
+    the member's least counterexample among its assignments (``assignment``
+    spells it out).  Each sentence's members come in member order.
+
+    Every member's assignments are laid end to end along one coordinate
+    axis and scanned in blocks.  A member with at most ``_BLOCK``
+    assignments is scanned in flat blocks of up to ``_BLOCK`` coordinates
+    that may span such members and stop where a larger member begins
+    (``assignment_layout``).  A larger member is scanned alone, in blocks
+    that are sub-boxes of its assignment product (``box_layout``), so each
+    subterm is computed only over its own variables.  A scan that fits in
+    one block keeps its operation set and variable values on the owner, per
+    number of variables.  Sentences with the same variables are scanned
+    together, a chunk at a time; once every sentence of a chunk has failed
+    on a member, the rest of the member is skipped.
+
+    The first sentence, in list order, of another signature than the
+    owner's (``InputError``) or with more than ``cap`` assignments on a
+    member (``CapExceeded``, naming the member's index and size when
+    ``owner`` is a catalog) ends the scan.  The sentences before it are
+    scanned in full, it is scanned on the members before the refused one,
+    and then the refusal is raised.  So the scan yields what scanning the
+    sentences one at a time would.  One sentence is scanned lazily, block
+    by block: a caller that stops at its first refutation scans no further.
     """
     members = _members(owner)
-    if members:
-        _require_signature(members[0], sent)
-    variables = sent.variables
-    nvars = len(variables)
-    totals = [A.size**nvars for A in members]
-    stop = next((i for i, n in enumerate(totals) if n > cap), len(members))
-    starts = _offsets(totals)
-    lo, end = 0, starts[stop]
-    # The next member scanned alone in sub-boxes, or stop; flat blocks end
-    # where it begins.  A scan that fits in one block has none.
-    big = _next_big(totals, 0, stop) if end > _BLOCK else stop
-    while lo < end:
-        first = starts[big]
-        if lo < first:
-            hi = min(lo + _BLOCK, first)
-            args = (nvars, stop, lo, hi)
-            ops, digits = derived(owner, assignment_layout, *args) if hi - lo == end else assignment_layout(owner, *args)
-            flat = bad = np.ones(hi - lo, dtype=bool)
+    if not members or not sents:
+        return
+    signature = _signature(members[0])
+    groups: dict[tuple, list[int]] = {}
+    for s, sent in enumerate(sents):
+        groups.setdefault((sent.signature, sent.variables), []).append(s)
+    # The first sentence refused, and the member it is refused on.
+    refused, refused_at = len(sents), len(members)
+    for (sig, variables), idx in groups.items():
+        at = derived(owner, _extent, len(variables), cap)[2] if sig == signature else 0
+        if at < len(members) and idx[0] < refused:
+            refused, refused_at = idx[0], at
+    for (_, variables), idx in groups.items():
+        nvars = len(variables)
+        totals, starts, _ = derived(owner, _extent, nvars, cap)
+        if idx[0] == refused:
+            idx, stop = [refused], refused_at
+        elif refused < len(sents):
+            idx, stop = idx[: bisect.bisect_left(idx, refused)], len(members)
         else:
-            ops, shape, digits = box_layout(members[big], nvars, lo - first)
-            hi = lo + math.prod(shape)
-            flat = np.ones(hi - lo, dtype=bool)
-            bad = flat.reshape(shape)  # the same flags, read in C order
-        env = dict(zip(variables, digits))
-        for lhs, rhs in sent.premises:
-            bad &= term_values(lhs, ops, env) == term_values(rhs, ops, env)
-            if not np.count_nonzero(bad):
-                break
-        else:
-            for lhs, rhs in sent.conclusions:
-                bad &= term_values(lhs, ops, env) != term_values(rhs, ops, env)
-            failing = flat.nonzero()[0]
-            j = 0
-            while j < failing.size:
-                c = lo + int(failing[j])
-                i = bisect.bisect_right(starts, c) - 1
-                yield i, _assignment(variables, c - starts[i], members[i].size)
-                hi = max(hi, starts[i + 1])
-                j = int(failing.searchsorted(starts[i + 1] - lo))
-        lo = hi
-        if big < stop and lo == starts[big + 1]:
-            big = _next_big(totals, big + 1, stop)
-    if stop < len(members):
+            stop = len(members)
+        end = starts[stop]
+        if not end:
+            continue
+        per = max(1, _CELLS // min(end, _BLOCK))
+        for c in range(0, len(idx), per):
+            chunk = idx[c : c + per]
+            equations = _equations(sents, chunk)
+            # The next member scanned alone in sub-boxes, or stop; flat blocks
+            # end where it begins.  A scan that fits in one block has none.
+            big = _next_big(totals, 0, stop) if end > _BLOCK else stop
+            # The sentences of the chunk that failed on the member the block
+            # begins in, and where that member ends.
+            lo, done, done_end = 0, None, 0
+            while lo < end:
+                if lo < starts[big]:
+                    hi = min(lo + _BLOCK, starts[big])
+                    args = (nvars, stop, lo, hi)
+                    ops, digits = derived(owner, assignment_layout, *args) if hi - lo == end else assignment_layout(owner, *args)
+                    shape = (hi - lo,)
+                else:
+                    ops, shape, digits = box_layout(members[big], nvars, lo - starts[big])
+                    hi = lo + math.prod(shape)
+                # Where the member holding the block's last coordinate ends,
+                # and, if it goes on past the block, the sentences failing on it.
+                ends = starts[bisect.bisect_right(starts, hi - 1)] if hi < end else end
+                now = None
+                if hi < ends:
+                    now = done if done_end == ends else set()
+                bad = _refuting(equations, len(chunk), shape, ops, dict(zip(variables, digits)))
+                if bad is not None:
+                    width = hi - lo
+                    cells = bad.ravel().nonzero()[0]  # (sentence, coordinate) cells, sentence by sentence
+                    j = 0
+                    while j < cells.size:
+                        pos, k = divmod(int(cells[j]), width)
+                        i = bisect.bisect_right(starts, lo + k) - 1
+                        if done is None or lo + k >= done_end or pos not in done:
+                            yield chunk[pos], i, lo + k - starts[i]
+                            if now is not None and starts[i + 1] == ends:
+                                now.add(pos)
+                        j = int(cells.searchsorted(pos * width + min(starts[i + 1] - lo, width)))
+                done, done_end = None, 0
+                if now is not None:
+                    if len(now) < len(chunk):
+                        done, done_end = now, ends
+                    else:
+                        hi = ends
+                lo = hi
+                if big < stop and lo == starts[big + 1]:
+                    big = _next_big(totals, big + 1, stop)
+    if refused < len(sents):
+        _require_signature(members[0], sents[refused])
         where = (
-            f"catalog member {stop} ({members[stop].size} elements)"
+            f"catalog member {refused_at} ({members[refused_at].size} elements)"
             if isinstance(owner, AlgebraCatalog) else "this algebra"
         )
         raise CapExceeded(
-            f"sentence needs {totals[stop]} assignments on {where}, cap is {cap} "
-            f"(EVAL_CAP, default {EVAL_CAP}); raise --cap or use fewer variables"
+            f"sentence needs {members[refused_at].size ** len(sents[refused].variables)} assignments "
+            f"on {where}, cap is {cap} (EVAL_CAP, default {EVAL_CAP}); raise --cap or use fewer variables"
         )
 
 
@@ -660,14 +766,15 @@ def eval_sentence(algebra, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict
     digit and elements in index order.
     """
     _require_signature(algebra, sent)
-    for _, counterexample in refutations(algebra, sent, cap):
-        return {"valid": False, "counterexample": counterexample}
+    for _, _, t in refutations(algebra, (sent,), cap):
+        return {"valid": False, "counterexample": assignment(sent.variables, t, algebra.size)}
     return {"valid": True, "counterexample": None}
 
 
 def catalog_validates(cat, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict:
     """Validity across a catalog; names the first failing member."""
-    for i, counterexample in refutations(cat, sent, cap):
+    for _, i, t in refutations(cat, (sent,), cap):
+        counterexample = assignment(sent.variables, t, cat.members[i].size)
         return {"valid": False, "failing_member": i, "counterexample": counterexample}
     return {"valid": True, "failing_member": None, "counterexample": None}
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main(argv)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -226,6 +227,17 @@ def test_completeness_report(capsys):
     )
     assert code == 0
     assert doc["checked"] == 12 and doc["violations"] == []
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{case['argv'][0]}" for i, case in enumerate(GOLDEN)])
+def test_report_and_catalog_eval_output_is_unchanged(capsys, case):
+    # Outputs recorded before candidate lists were scanned in one batch:
+    # reports with and without violations, and first failures.
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 def test_completeness_report_rejects_max_vars_above_4(capsys, monkeypatch):

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from grzlab.bridge import class_membership
 from grzlab.catalog import AlgebraCatalog
-from grzlab.errors import CapExceeded, InputError
+from grzlab.errors import CapExceeded, GrzlabError, InputError
 from grzlab.finlat import (
     antichain_poset,
     chain_heyting,
@@ -24,7 +25,23 @@ from grzlab.freealg import (
     weakly_admissible_k,
 )
 from grzlab.modal import complex_algebra, make_standard, trivial_modal, validate_modal
-from grzlab.ulogic import And, Box, Const, Imp, Not, Or, Var, parse_rule, to_text, translate
+from grzlab.ulogic import (
+    And,
+    Box,
+    Const,
+    Imp,
+    Not,
+    Or,
+    UniversalSentence,
+    Var,
+    assignment,
+    enumerate_rules,
+    parse_rule,
+    refutations,
+    sentence_to_json,
+    to_text,
+    translate,
+)
 
 
 def two_chain_catalog():
@@ -156,6 +173,68 @@ def test_completeness_report_modes():
     assert rep["violations"] == []
     with pytest.raises(InputError):
         completeness_report_k(K, [], 1, mode="sound")
+
+
+def report_one_at_a_time(K, candidates, k, mode="structural"):
+    """The falsifier as a loop that scans each candidate on its own."""
+    free = free_algebra(K, k)
+    memo, violations = {}, []
+    for v in candidates:
+        if mode == "structural" and len(v.conclusions) != 1:
+            raise InputError("structural mode admits only single-conclusion candidates")
+        failing = {i: t for _, i, t in refutations(K, [v])}
+        holds = tuple(i not in failing for i in range(len(K.members)))
+        if holds not in memo:
+            kept = AlgebraCatalog(K.kind, tuple(A for h, A in zip(holds, K.members) if h))
+            memo[holds] = class_membership(free.algebra, kept, "quasivariety")["holds"]
+        if memo[holds] and failing:
+            i, t = next(iter(failing.items()))
+            record = sentence_to_json(v)
+            record["failing_member"], record["counterexample"] = i, assignment(v.variables, t, K.members[i].size)
+            violations.append(record)
+    return {"mode": mode, "k": k, "checked": len(candidates), "violations": violations}
+
+
+def outcome(report, *args):
+    try:
+        return report(*args)
+    except GrzlabError as exc:
+        return type(exc), str(exc)
+
+
+def test_completeness_report_refuses_where_the_loop_does():
+    K = goedel_catalog()
+    em = translate(parse_rule("/ p | ~p", "heyting"))
+    lin = translate(parse_rule("/ (p -> q) | (q -> p)", "heyting"))
+    multi = translate(parse_rule("/ p, ~p", "heyting"))
+    # 2**24 assignments on the two-chain, past EVAL_CAP.
+    wide = UniversalSentence((), ((Var("p"), Const("top")),), "heyting", ("p",) + tuple(f"x{i}" for i in range(23)))
+    box = translate(parse_rule("/ box p -> p", "modal"))
+    cases = [
+        ([em, lin, multi, wide], "structural", InputError),
+        ([em, lin, multi, wide], "universal", CapExceeded),
+        ([em, wide, multi], "structural", CapExceeded),
+        ([lin, box, wide], "universal", InputError),
+        ([em, lin, multi], "universal", None),  # em and multi fail on the three-chain
+    ]
+    for candidates, mode, refusal in cases:
+        want = outcome(report_one_at_a_time, K, candidates, 0, mode)
+        assert outcome(completeness_report_k, K, candidates, 0, mode) == want
+        assert want[0] is refusal if refusal else len(want["violations"]) == 2
+    assert outcome(completeness_report_k, K, [em, wide], 0)[1].startswith(
+        "sentence needs 16777216 assignments on catalog member 0 (2 elements), cap is 10000000"
+    )
+
+
+def test_completeness_report_over_the_criterion_10_candidates_within_budget():
+    # One batched scan of all 89,432 candidates on the two-chain.  It took
+    # about 0.5 s on a 2-CPU x86_64 host, where one scan per candidate took
+    # about 2 s.
+    candidates = [translate(r) for r in enumerate_rules("heyting", 2, 2)]
+    start = time.perf_counter()
+    rep = completeness_report_k(two_chain_catalog(), candidates, 2)
+    assert time.perf_counter() - start < 2.0
+    assert rep["checked"] == 89432 and rep["violations"] == []
 
 
 def test_sigma_free_checks_small():

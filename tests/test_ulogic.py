@@ -3,16 +3,17 @@
 import itertools
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grzlab.bridge import boolean_extension
 from grzlab import ulogic
 from grzlab.catalog import AlgebraCatalog, heyting_catalog
-from grzlab.errors import CapExceeded, InputError, ParseError
+from grzlab.errors import CapExceeded, GrzlabError, InputError, ParseError
 from grzlab.finlat import FinitePoset, chain_heyting, downset_heyting, trivial_heyting
 from grzlab.modal import ModalAlgebra, complex_algebra, make_standard, modal_product, trivial_modal
 from grzlab.ulogic import (
@@ -34,7 +35,6 @@ from grzlab.ulogic import (
     parse,
     parse_formula,
     parse_rule,
-    rule_to_text,
     sentence_from_json,
     sentence_to_json,
     substitute,
@@ -77,9 +77,9 @@ def test_parse_rule_and_rule_text():
     assert rule.premises == (Var("p"), Imp(Var("p"), Var("q")))
     assert rule.conclusions == (Var("q"),)
     assert rule.variables == ("p", "q")
-    assert rule_to_text(rule) == "p, p -> q / q"
-    back = parse(rule_to_text(rule), "heyting")
-    assert back == rule
+    text = ", ".join(map(to_text, rule.premises)) + " / " + ", ".join(map(to_text, rule.conclusions))
+    assert text == "p, p -> q / q"
+    assert parse(text, "heyting") == rule
     assert isinstance(parse("p | ~p", "heyting"), Imp | Or | And | Var | Not)
 
 
@@ -392,6 +392,12 @@ def member_failures(members, sent, cap=ulogic.EVAL_CAP):
             yield i, {v: int(env[v][j]) for v in sent.variables}
 
 
+def scan(K, sent, cap=ulogic.EVAL_CAP):
+    """The catalog scan of one sentence: (member, least counterexample) pairs."""
+    for _, i, t in ulogic.refutations(K, [sent], cap):
+        yield i, ulogic.assignment(sent.variables, t, K.members[i].size)
+
+
 def first_failure(members, sent, cap=ulogic.EVAL_CAP):
     for i, cex in member_failures(members, sent, cap):
         return {"valid": False, "failing_member": i, "counterexample": cex}
@@ -410,7 +416,7 @@ def assert_scan_matches(K, sent):
     """The catalog scan, its first failure and each member's own scan agree
     with the per-member loop; returns the loop's failures."""
     want = list(member_failures(K.members, sent))
-    assert list(ulogic.refutations(K, sent)) == want
+    assert list(scan(K, sent)) == want
     first = {"valid": True, "failing_member": None, "counterexample": None}
     if want:
         first = {"valid": False, "failing_member": want[0][0], "counterexample": want[0][1]}
@@ -458,7 +464,7 @@ def test_catalog_scan_on_one_element_algebras():
     ):
         for text in ("/ bot", "/ p | ~p", "p / bot", "p -> q / q -> p", "/ p, q, r, s"):
             sent = translate(parse_rule(text, sig))
-            assert list(ulogic.refutations(K, sent)) == list(member_failures(K.members, sent))
+            assert list(scan(K, sent)) == list(member_failures(K.members, sent))
             assert catalog_validates(K, sent) == first_failure(K.members, sent)
 
 
@@ -497,7 +503,7 @@ def test_catalog_scan_across_block_boundaries():
     want = list(member_failures(K.members, sent))
     assert [i for i, _ in want] == [2, 4]
     assert sum(totals[:2]) + ulogic_index(want[0][1], sent.variables, 4) > block
-    assert list(ulogic.refutations(K, sent)) == want
+    assert list(scan(K, sent)) == want
     assert catalog_validates(K, sent) == first_failure(K.members, sent)
     # A member that fails in its first sub-box, so the rest of it is
     # skipped, and a 9-chain that fails inside a flat block and runs on
@@ -609,14 +615,14 @@ def test_catalog_scan_cap_order():
     )
     # A full scan for per-member verdicts refuses after the members before it.
     with pytest.raises(CapExceeded):
-        dict(ulogic.refutations(tail, sent, cap=5000))
+        dict(scan(tail, sent, cap=5000))
     # Members over one block before the refused one are scanned in sub-boxes.
     boxed = AlgebraCatalog("heyting", (chain_heyting(10), two_below_one(), chain_heyting(11), chain_heyting(3)))
     for cap in (12000, 9999):
         for s in (sent, holds):
             want = until_refused(member_failures(boxed.members, s, cap))
-            assert until_refused(ulogic.refutations(boxed, s, cap)) == want
-    assert until_refused(ulogic.refutations(boxed, sent, 12000)) == (
+            assert until_refused(scan(boxed, s, cap)) == want
+    assert until_refused(scan(boxed, sent, 12000)) == (
         [(1, {"q": 4, "p": 1, "r": 2, "s": 0})],
         "sentence needs 14641 assignments on catalog member 2 (11 elements), cap is 12000 "
         "(EVAL_CAP, default 10000000); raise --cap or use fewer variables",
@@ -680,3 +686,120 @@ SENTENCES = (
 @given(downset_catalogs(), SENTENCES)
 def test_catalog_validates_is_the_first_failure_of_the_per_member_loop(K, sent):
     assert catalog_validates(K, sent) == first_failure(K.members, sent)
+
+
+# ---------------------------------------------------------------------------
+# The batched scan of a sentence list against one scan per sentence
+
+
+def per_sentence(K, sents, cap=ulogic.EVAL_CAP):
+    """What scanning the sentences one at a time yields, sentence by sentence."""
+    return [[(i, t) for _, i, t in ulogic.refutations(K, [s], cap)] for s in sents]
+
+
+def batched(K, sents, cap=ulogic.EVAL_CAP):
+    """What one scan of the whole list yields, sorted into its sentences."""
+    out = [[] for _ in sents]
+    for s, i, t in ulogic.refutations(K, sents, cap):
+        out[s].append((i, t))
+    return out
+
+
+@st.composite
+def sentence_lists(draw, names=("p", "q", "r")):
+    """Sentences drawn from a small pool of equation objects, so that one
+    object recurs within and across sentences, as premise and conclusion.
+    Each sentence lists its own variables in some order, and may list
+    variables that no formula uses."""
+    pool = draw(st.lists(st.tuples(FORMULAS, FORMULAS), min_size=1, max_size=5))
+    equations = st.lists(st.sampled_from(pool), max_size=2).map(tuple)
+    sents = []
+    for _ in range(draw(st.integers(1, 10))):
+        sides = draw(st.sampled_from(("both", "no premises", "no conclusions")))
+        prem = () if sides == "no premises" else draw(equations)
+        concl = () if sides == "no conclusions" else draw(equations)
+        if not prem and not concl:
+            prem, concl = ((pool[0],), ()) if sides == "no conclusions" else ((), (pool[0],))
+        used = []
+        for lhs, rhs in prem + concl:
+            ulogic.formula_vars(lhs, used)
+            ulogic.formula_vars(rhs, used)
+        extra = draw(st.lists(st.sampled_from(names), max_size=len(names)))
+        variables = tuple(draw(st.permutations(list(dict.fromkeys(used + extra)))))
+        sents.append(UniversalSentence(prem, concl, "heyting", variables))
+    return sents
+
+
+def assert_batch_matches(K, sents):
+    want = per_sentence(K, sents)
+    for cells in (ulogic._CELLS, 64, 1):  # one chunk, then chunks of a few sentences, then of one
+        with mock.patch.object(ulogic, "_CELLS", cells):
+            assert batched(K, sents) == want
+    for s, failures in zip(sents, want):
+        spelled = [(i, ulogic.assignment(s.variables, t, K.members[i].size)) for i, t in failures]
+        assert spelled == list(member_failures(K.members, s))
+
+
+@given(downset_catalogs(), sentence_lists())
+def test_batched_scan_is_the_per_sentence_scan(K, sents):
+    assert_batch_matches(K, sents)
+
+
+@settings(max_examples=20)
+@given(downset_catalogs(), sentence_lists(names=("p", "q", "r", "s")), st.integers(0, 4))
+def test_batched_scan_with_a_member_over_one_block(K, sents, at):
+    # A 10-chain at four variables has 10,000 assignments, more than one
+    # block, so it is scanned alone in sub-boxes.
+    four = ("p", "q", "r", "s")
+    sents = [
+        UniversalSentence(s.premises, s.conclusions, "heyting", s.variables + tuple(v for v in four if v not in s.variables))
+        for s in sents
+    ]
+    at = min(at, len(K.members))
+    K = AlgebraCatalog("heyting", K.members[:at] + (chain_heyting(10),) + K.members[at:])
+    assert chain_heyting(10).size ** 4 > ulogic._BLOCK
+    assert_batch_matches(K, sents)
+
+
+def scanned_until_refused(K, sents, cap, one_at_a_time):
+    """Each sentence's failures before the refusal, and the refusal."""
+    got = [[] for _ in sents]
+    with pytest.raises(GrzlabError) as refusal:
+        if one_at_a_time:
+            for s, sent in enumerate(sents):
+                for _, i, t in ulogic.refutations(K, [sent], cap):
+                    got[s].append((i, t))
+        else:
+            for s, i, t in ulogic.refutations(K, sents, cap):
+                got[s].append((i, t))
+    return got, type(refusal.value), str(refusal.value)
+
+
+def test_batched_scan_refuses_where_the_per_sentence_loop_does():
+    K, over = lines_through_blocks()  # four variables
+    tail = AlgebraCatalog("heyting", K.members[1:])  # the 10-chain, member 2, needs 10,000
+    em = translate(parse_rule("/ p | ~p", "heyting"))
+    lin = translate(parse_rule("/ (p -> q) | (q -> p)", "heyting"))
+    box = translate(parse_rule("/ box p -> p", "modal"))
+    cases = [
+        [em, lin, over, em, box],  # the third sentence is over the cap
+        [lin, box, over, em],  # a signature mismatch before it
+        [over],
+        [em, over, lin, over],
+        [box],
+    ]
+    for sents in cases:
+        want = scanned_until_refused(tail, sents, 5000, True)
+        assert scanned_until_refused(tail, sents, 5000, False) == want
+    got, kind, text = scanned_until_refused(tail, cases[0], 5000, False)
+    assert kind is CapExceeded and text == (
+        "sentence needs 10000 assignments on catalog member 2 (10 elements), cap is 5000 "
+        "(EVAL_CAP, default 10000000); raise --cap or use fewer variables"
+    )
+    # Everything before the refused sentence, its failure on member 1,
+    # and nothing after it.
+    assert got == [[(0, 1), (1, 1), (2, 1), (3, 1)], [(1, 7), (3, 7)], [(1, 535)], [], []]
+    _, kind, text = scanned_until_refused(tail, cases[1], 5000, False)
+    assert kind is InputError and text == "heyting algebra needs a heyting-signature sentence"
+    with pytest.raises(InputError, match="cannot evaluate on FinitePoset"):
+        list(ulogic.refutations(FinitePoset(1, np.eye(1, dtype=bool)), [em]))
