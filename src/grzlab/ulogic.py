@@ -682,21 +682,22 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
     groups: dict[tuple, list[int]] = {}
     for s, sent in enumerate(sents):
         groups.setdefault((sent.signature, sent.variables), []).append(s)
-    # The first sentence refused, and the member it is refused on.
+    # Each group's extent; the first sentence refused, and the member it
+    # is refused on.
+    plans = []
     refused, refused_at = len(sents), len(members)
     for (sig, variables), idx in groups.items():
-        at = derived(owner, _extent, len(variables), cap)[2] if sig == signature else 0
+        extent = derived(owner, _extent, len(variables), cap)
+        at = extent[2] if sig == signature else 0
         if at < len(members) and idx[0] < refused:
             refused, refused_at = idx[0], at
-    for (_, variables), idx in groups.items():
+        plans.append((variables, idx, extent))
+    for variables, idx, (totals, starts, _) in plans:
         nvars = len(variables)
-        totals, starts, _ = derived(owner, _extent, nvars, cap)
         if idx[0] == refused:
             idx, stop = [refused], refused_at
-        elif refused < len(sents):
-            idx, stop = idx[: bisect.bisect_left(idx, refused)], len(members)
         else:
-            stop = len(members)
+            idx, stop = idx[: bisect.bisect_left(idx, refused)], len(members)
         end = starts[stop]
         if not end:
             continue
