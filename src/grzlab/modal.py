@@ -260,11 +260,6 @@ class Filter:
         return self.bottom
 
 
-def open_filter(alg: ModalAlgebra, a: int) -> Filter:
-    """The least open filter containing a: everything above box(a)."""
-    return Filter(alg, int(alg.box[a]), "open")
-
-
 def open_filters(alg: ModalAlgebra) -> list[Filter]:
     """All open filters, one per open element, by increasing least element."""
     return [Filter(alg, u, "open") for u in alg.open_elements()]
@@ -286,14 +281,6 @@ def quotient(alg: ModalAlgebra, filt: Filter) -> tuple[ModalAlgebra, "Homomorphi
     q = _on_blocks(alg, blocks)
     values = {b: _encode(b, blocks) for b in range(alg.size)}
     return q, Homomorphism(alg, q, "modal", values)
-
-
-def classify_structure(alg: ModalAlgebra) -> dict:
-    """Subdirect irreducibility and simplicity, read off the open elements."""
-    opens = alg.open_elements()
-    non_top = [u for u in opens if u != alg.top]
-    si = any(all(o & u == o for o in non_top) for u in non_top)
-    return {"subdirectly_irreducible": si, "simple": len(opens) == 2}
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +552,6 @@ class Homomorphism:
         if self.domain is not None:
             cert["domain"] = list(self.domain_elements())
         return cert
-
-
-def compose(g: Homomorphism, f: Homomorphism, kind: str) -> Homomorphism:
-    """g after f; caller names the kind the composite is claimed to satisfy."""
-    values = {a: g.values[v] for a, v in f.values.items()}
-    return Homomorphism(f.source, g.target, kind, values, f.domain)
-
-
-def identity_hom(alg: ModalAlgebra, kind: str = "modal") -> Homomorphism:
-    return Homomorphism(alg, alg, kind, {a: a for a in range(alg.size)})
 
 
 def hom_search(

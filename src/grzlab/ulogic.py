@@ -375,6 +375,12 @@ def sentence_to_json(sent: UniversalSentence) -> dict:
 # of sentences by coordinates.  Its refuting cells, read in order, give
 # each (sentence, member) pair's least counterexample; the rest of that
 # member's cells are skipped.
+#
+# A scan that fits in one block evaluates each equation's sides directly
+# with ``term_values``.  A scan over more than one block first compiles
+# each chunk's equations into one straight-line program (``_program``), a
+# step per structurally distinct subterm, and runs it in every block, so
+# each distinct subterm is computed once per block and no block recurses.
 
 _BLOCK = 1 << 13
 _CELLS = 1 << 16
@@ -620,15 +626,112 @@ def _equations(sents, chunk):
     return sides
 
 
-def _refuting(equations, n: int, shape, ops, env):
+def _slot(f, steps, slot, seen) -> int:
+    """The slot of f's step.  Appends, in post-order, a step for each
+    subterm of f that has none yet: (kind, name, None) for a variable or a
+    constant and (kind, slot, slot) for a connective, the second slot None
+    for a unary one.  ``slot`` maps each step to its slot, so equal steps
+    are one, and ``seen`` the id of each formula object already placed."""
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if id(g) in seen:
+            todo.pop()
+            continue
+        kind = type(g)
+        if kind is Var or kind is Const:
+            key = (kind, g.name, None)
+        elif kind is Not or kind is Box:
+            if id(g.arg) not in seen:
+                todo.append(g.arg)
+                continue
+            key = (kind, seen[id(g.arg)], None)
+        elif kind is And or kind is Or or kind is Imp:
+            if id(g.left) not in seen or id(g.right) not in seen:
+                todo.extend((g.right, g.left))
+                continue
+            key = (kind, seen[id(g.left)], seen[id(g.right)])
+        else:
+            raise InputError(f"not a formula: {g!r}")
+        todo.pop()
+        if key not in slot:
+            slot[key] = len(steps)
+            steps.append(key)
+        seen[id(g)] = slot[key]
+    return seen[id(f)]
+
+
+def _program(equations):
+    """The ``_equations`` of a chunk as one straight-line program over its
+    structurally distinct subterms (``_slot``), and the equations with each
+    formula replaced by its slot.  Steps come equation by equation,
+    premises first, so an equation needs only the steps up to its sides.
+
+    Each step also lists the slots to drop once it has run: those that it,
+    or an equation compared just before it, reads last.  So a block holds
+    about as few values at once as the recursive evaluator does."""
+    steps: list[tuple] = []
+    slot: dict[tuple, int] = {}
+    seen: dict[int, int] = {}
+    last: dict[int, int] = {}  # slot -> the step before which it is read last
+    sides = []
+    for side, users in equations:
+        compiled = []
+        for lhs, rhs in side:
+            pair = _slot(lhs, steps, slot, seen), _slot(rhs, steps, slot, seen)
+            compiled.append(pair)
+            for s in pair:
+                last[s] = len(steps)
+        sides.append((compiled, users))
+    for i, (kind, x, y) in enumerate(steps):
+        if kind is not Var and kind is not Const:
+            last[x] = max(last.get(x, 0), i)
+            if y is not None:
+                last[y] = max(last.get(y, 0), i)
+    dead = [[] for _ in steps]
+    for s, i in last.items():
+        if i < len(steps):
+            dead[i].append(s)
+    return sides, [(*step, tuple(d)) for step, d in zip(steps, dead)]
+
+
+def _run(steps, values, stop: int, ops, env) -> None:
+    """Run a ``_program``'s steps from where ``values`` ends up to stop,
+    each step's value into its slot, dropping those no longer read."""
+    for kind, x, y, dead in steps[len(values) : stop]:
+        if kind is And:
+            values.append(ops.meet(values[x], values[y]))
+        elif kind is Or:
+            values.append(ops.join(values[x], values[y]))
+        elif kind is Imp:
+            values.append(ops.imp(values[x], values[y]))
+        elif kind is Var:
+            values.append(env[x])
+        elif kind is Not:
+            values.append(ops.neg(values[x]))
+        elif kind is Box:
+            values.append(ops.box(values[x]))
+        else:
+            values.append(ops.bot if x == "bot" else ops.top)
+        for s in dead:
+            values[s] = None
+
+
+def _refuting(equations, steps, n: int, shape, ops, env):
     """Where n sentences fail in one block: an (n, *shape) matrix, or just
     shape for one sentence, from the ``_equations`` of their premises and
-    conclusions; None when no premise holds anywhere."""
+    conclusions, evaluated by ``term_values``, or from their ``_program``
+    and its steps; None when no premise holds anywhere."""
     (premises, premise_users), (conclusions, conclusion_users) = equations
     bad = np.empty(shape if n == 1 else (n, *shape), dtype=bool)
     bad.fill(True)
+    values = []
     for e, (lhs, rhs) in enumerate(premises):
-        holds = term_values(lhs, ops, env) == term_values(rhs, ops, env)
+        if steps is None:
+            holds = term_values(lhs, ops, env) == term_values(rhs, ops, env)
+        else:
+            _run(steps, values, max(lhs, rhs) + 1, ops, env)
+            holds = values[lhs] == values[rhs]
         users = premise_users.get(e)
         if users is None:
             bad &= holds
@@ -637,7 +740,11 @@ def _refuting(equations, n: int, shape, ops, env):
         if not np.count_nonzero(bad):
             return None
     for e, (lhs, rhs) in enumerate(conclusions):
-        fails = term_values(lhs, ops, env) != term_values(rhs, ops, env)
+        if steps is None:
+            fails = term_values(lhs, ops, env) != term_values(rhs, ops, env)
+        else:
+            _run(steps, values, max(lhs, rhs) + 1, ops, env)
+            fails = values[lhs] != values[rhs]
         users = conclusion_users.get(e)
         if users is None:
             bad &= fails
@@ -662,9 +769,12 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
     that are sub-boxes of its assignment product (``box_layout``), so each
     subterm is computed only over its own variables.  A scan that fits in
     one block keeps its operation set and variable values on the owner, per
-    number of variables.  Sentences with the same variables are scanned
-    together, a chunk at a time; once every sentence of a chunk has failed
-    on a member, the rest of the member is skipped.
+    number of variables, and evaluates each equation directly.  Sentences
+    with the same variables are scanned together, a chunk at a time; once
+    every sentence of a chunk has failed on a member, the rest of the
+    member is skipped.  A scan over more than one block runs each chunk's
+    equations as one program, built once per chunk (``_program``), that
+    computes each distinct subterm once per block.
 
     The first sentence, in list order, of another signature than the
     owner's (``InputError``) or with more than ``cap`` assignments on a
@@ -704,7 +814,11 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
         per = max(1, _CELLS // min(end, _BLOCK))
         for c in range(0, len(idx), per):
             chunk = idx[c : c + per]
-            equations = _equations(sents, chunk)
+            # A scan over more than one block runs one program per chunk,
+            # each distinct subterm once per block.
+            equations, steps = _equations(sents, chunk), None
+            if end > _BLOCK:
+                equations, steps = _program(equations)
             # The next member scanned alone in sub-boxes, or stop; flat blocks
             # end where it begins.  A scan that fits in one block has none.
             big = _next_big(totals, 0, stop) if end > _BLOCK else stop
@@ -726,7 +840,7 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
                 now = None
                 if hi < ends:
                     now = done if done_end == ends else set()
-                bad = _refuting(equations, len(chunk), shape, ops, dict(zip(variables, digits)))
+                bad = _refuting(equations, steps, len(chunk), shape, ops, dict(zip(variables, digits)))
                 if bad is not None:
                     width = hi - lo
                     cells = bad.ravel().nonzero()[0]  # (sentence, coordinate) cells, sentence by sentence

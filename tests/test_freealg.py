@@ -263,7 +263,10 @@ def test_sigma_free_checks_caps():
 
 
 def naive_closure(members, k, modal):
-    """Every round applies the operations to all pairs, over Python tuples."""
+    """Every round applies the operations to the elements and pairs that
+    involve an element new in the round before, over Python tuples.  The
+    other pairs gave only elements interned already, so skipping them keeps
+    the elements, their terms and their order."""
     coords = [(A, alpha) for A in members for alpha in itertools.product(range(A.size), repeat=k)]
     elems, terms, seen = [], [], {}
 
@@ -277,21 +280,22 @@ def naive_closure(members, k, modal):
     intern(tuple(A.top for A, _ in coords), Const("top"))
     for i in range(k):
         intern(tuple(alpha[i] for _, alpha in coords), Var(f"x{i}"))
+    old = 0  # the elements before the last round's new ones
     while True:
         n0 = len(elems)
         if modal:
-            for i in range(n0):
+            for i in range(old, n0):
                 intern(tuple(A.top ^ x for x, (A, _) in zip(elems[i], coords)), Not(terms[i]))
                 intern(tuple(int(A.box[x]) for x, (A, _) in zip(elems[i], coords)), Box(terms[i]))
             for i in range(n0):
-                for j in range(n0):
+                for j in range(old if i < old else 0, n0):
                     pairs = list(zip(elems[i], elems[j]))
                     intern(tuple(x & y for x, y in pairs), And(terms[i], terms[j]))
                     intern(tuple(x | y for x, y in pairs), Or(terms[i], terms[j]))
         else:
             for name, ctor in (("meet", And), ("join", Or), ("imp", Imp)):
                 for i in range(n0):
-                    for j in range(n0):
+                    for j in range(old if i < old else 0, n0):
                         t = tuple(
                             int(getattr(A, name)[x, y])
                             for x, y, (A, _) in zip(elems[i], elems[j], coords)
@@ -299,6 +303,7 @@ def naive_closure(members, k, modal):
                         intern(t, ctor(terms[i], terms[j]))
         if len(elems) == n0:
             return elems, terms, coords
+        old = n0
 
 
 def naive_free(members, k, modal):

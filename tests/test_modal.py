@@ -11,6 +11,7 @@ from grzlab.catalog import interior_catalog
 from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import FinitePoset, antichain_poset, chain_poset
 from grzlab.modal import (
+    ATOM_CAP,
     BooleanSubalgebra,
     Filter,
     Homomorphism,
@@ -19,17 +20,13 @@ from grzlab.modal import (
     all_modal_subalgebras,
     are_isomorphic,
     blok_characterization,
-    classify_structure,
     complex_algebra,
-    compose,
     generated_subalgebra,
     grz_fails_at,
     grz_violations,
     hom_search,
-    identity_hom,
     make_standard,
     modal_product,
-    open_filter,
     open_filters,
     quotient,
     set_partitions,
@@ -98,7 +95,6 @@ def test_open_filters_and_least():
     filts = open_filters(s12)
     assert [f.least() for f in filts] == [0, 4, 7]
     assert all(f.validate() == [] for f in filts)
-    assert open_filter(s12, 5).least() == 4
     above = Filter(s12, 4, "open")
     assert [b for b in range(s12.size) if b in above] == [4, 5, 6, 7]
 
@@ -128,21 +124,6 @@ def test_quotient_by_open_filter():
         quotient(make_standard("S2"), Filter(s12, 4, "open"))
     with pytest.raises(InputError):
         quotient(s12, Filter(s12, 5, "open"))
-
-
-def test_classify_structure():
-    assert classify_structure(make_standard("S2")) == {
-        "subdirectly_irreducible": True,
-        "simple": True,
-    }
-    assert classify_structure(complex_algebra(chain_poset(2))) == {
-        "subdirectly_irreducible": True,
-        "simple": False,
-    }
-    assert classify_structure(complex_algebra(antichain_poset(2))) == {
-        "subdirectly_irreducible": False,
-        "simple": False,
-    }
 
 
 def test_subalgebra_elements_and_counts():
@@ -207,9 +188,8 @@ def test_hom_search_constraint_pruning():
 
 def test_hom_verify_catches_each_breakage():
     s2 = make_standard("S2")
-    good = identity_hom(s2)
+    good = Homomorphism(s2, s2, "modal", {a: a for a in range(s2.size)})
     assert good.verify() == []
-    assert compose(good, good, "modal").verify() == []
     bad = Homomorphism(s2, s2, "modal", {0: 0, 1: 1, 2: 2, 3: 2})
     assert bad.verify() != []
     missing = Homomorphism(s2, s2, "modal", {0: 0, 3: 3})
@@ -517,6 +497,20 @@ def test_filters_quotient_and_isomorphism_at_the_atom_cap():
     assert validate_modal(cycle).interior and validate_modal(blocks).interior
     assert not timed(are_isomorphic, cycle, blocks)
     assert timed(are_isomorphic, blocks, relabel(blocks, perm))
+
+
+def test_blok_characterization_at_the_atom_cap():
+    # Complex algebras of three seeded 12-point posets are Grz; the 10-point
+    # discrete algebra times S2 is not, and is witnessed through S2.
+    algebras = [complex_algebra(random_poset(random.Random(seed), 12)) for seed in (1, 2, 3)]
+    algebras.append(modal_product([complex_algebra(antichain_poset(10)), make_standard("S2")]))
+    for alg in algebras:
+        assert alg.atoms == ATOM_CAP
+        start = time.perf_counter()
+        res = blok_characterization(alg)
+        assert time.perf_counter() - start < 3.0
+        assert res.is_grz == validate_modal(alg).grz == (alg is not algebras[-1])
+    assert res.witness.verify() == [] and res.witness.target_name == "S2"
 
 
 def coatoms_to_top(n, killed=()):

@@ -803,3 +803,138 @@ def test_batched_scan_refuses_where_the_per_sentence_loop_does():
     assert kind is InputError and text == "heyting algebra needs a heyting-signature sentence"
     with pytest.raises(InputError, match="cannot evaluate on FinitePoset"):
         list(ulogic.refutations(FinitePoset(1, np.eye(1, dtype=bool)), [em]))
+
+
+# ---------------------------------------------------------------------------
+# The compiled program of a scan over more than one block
+
+
+def rebuilt(f):
+    """A formula equal to f, made of new objects throughout."""
+    if isinstance(f, (Var, Const)):
+        return type(f)(f.name)
+    if isinstance(f, (Not, Box)):
+        return type(f)(rebuilt(f.arg))
+    return type(f)(rebuilt(f.left), rebuilt(f.right))
+
+
+def subterms(f, out):
+    """Every subterm of f, into the set out (formulas compare by structure)."""
+    out.add(f)
+    for child in (f.arg,) if isinstance(f, (Not, Box)) else (f.left, f.right) if isinstance(f, (And, Or, Imp)) else ():
+        subterms(child, out)
+
+
+def repeating_sentence(rng, signature, names, shared, premises=()):
+    """A random sentence over names whose variables are replaced by random
+    formulas, so its subterms recur within and across its equations: as
+    one object at every occurrence (shared), or as equal distinct objects.
+    The given premise equations, over names, come first."""
+    pool = {v: random_formula(rng, signature, names, 2) for v in names}
+    place = (lambda f: substitute(f, pool)) if shared else (lambda f: rebuilt(substitute(f, pool)))
+    sent = random_sentence(rng, signature, names)
+    return UniversalSentence(
+        tuple((place(l), place(r)) for l, r in premises + sent.premises),
+        tuple((place(l), place(r)) for l, r in sent.conclusions),
+        signature,
+        names,
+    )
+
+
+def test_program_has_one_step_per_distinct_subterm():
+    rng = random.Random(20261101)
+    for trial in range(60):
+        signature = ("heyting", "modal")[trial % 2]
+        sents = [repeating_sentence(rng, signature, ("p", "q", "r"), trial % 4 < 2) for _ in range(1 + trial % 3)]
+        equations = ulogic._equations(sents, list(range(len(sents))))
+        sides, steps = ulogic._program(equations)
+        distinct = set()
+        for (pairs, _), (compiled, _) in zip(equations, sides):
+            assert len(compiled) == len(pairs)
+            for lhs, rhs in pairs:
+                subterms(lhs, distinct)
+                subterms(rhs, distinct)
+        assert len(steps) == len(distinct)
+        # Post-order: a step reads only earlier steps, and drops a value
+        # only after every step and equation that reads it.
+        reads = {}
+        for i, (kind, x, y, _) in enumerate(steps):
+            if kind not in (Var, Const):
+                assert x < i and (y is None or y < i)
+                reads.setdefault(x, []).append(i)
+                reads.setdefault(y, []).append(i)
+        stop = 0
+        for compiled, _ in sides:
+            for lhs, rhs in compiled:
+                stop = max(stop, lhs + 1, rhs + 1)
+                reads.setdefault(lhs, []).append(stop)
+                reads.setdefault(rhs, []).append(stop)
+        for i, step in enumerate(steps):
+            for s in step[3]:
+                assert max(reads[s]) == i
+
+
+def multi_block_catalogs(rng, signature):
+    """Catalogs over more than one block at their number of variables:
+    flat blocks that span members, and members scanned in sub-boxes."""
+    if signature == "heyting":
+        flat = AlgebraCatalog("heyting", tuple(chain_heyting(n) for n in (5, 6, 7, 8)) + (two_below_one(),))
+        boxed = AlgebraCatalog("heyting", (chain_heyting(3), chain_heyting(10), two_below_one()))
+        return [(flat, ("p", "q", "r", "s")), (boxed, ("p", "q", "r", "s"))]
+    small = tuple(complex_algebra(random_poset(rng, 4)) for _ in range(3))
+    flat = AlgebraCatalog("modal", small + (make_standard("S12"), make_standard("S2")))
+    boxed = AlgebraCatalog("modal", (make_standard("S2"), complex_algebra(random_poset(rng, 7))))
+    return [(flat, ("p", "q", "r")), (boxed, ("p", "q"))]
+
+
+def test_multi_block_scan_with_repeated_subterms_matches_the_per_member_loop():
+    rng = random.Random(20261102)
+    seen = set()
+    for signature in ("heyting", "modal"):
+        for K, names in multi_block_catalogs(rng, signature):
+            assert sum(A.size ** len(names) for A in K.members) > ulogic._BLOCK
+            p, q = Var(names[0]), Var(names[1])
+            for trial in range(8):
+                shared = trial % 2 == 0
+                premises = [
+                    (),
+                    # Meet and join of the same two subterms, and negation
+                    # and box of the same subterm, as distinct steps.
+                    ((And(p, q), Or(p, q)), (Not(p), Box(p) if signature == "modal" else Not(Not(p)))),
+                    # Premises that no coordinate of a member with two or
+                    # more elements meets: every such block is emptied.
+                    ((p, Const("top")), (p, Const("bot"))),
+                    (),
+                ][trial // 2]
+                sent = repeating_sentence(rng, signature, names, shared, premises)
+                with mock.patch.object(ulogic, "_program", wraps=ulogic._program) as compiled:
+                    seen.add((signature, shared, bool(assert_scan_matches(K, sent))))
+                assert compiled.called
+    assert {(s, shared) for s, shared, _ in seen} == {(s, b) for s in ("heyting", "modal") for b in (True, False)}
+    assert {refuted for *_, refuted in seen} == {True, False}
+
+
+def test_multi_block_chunks_that_share_subterms_match_the_per_sentence_scan():
+    rng = random.Random(20261103)
+    for signature in ("heyting", "modal"):
+        for K, names in multi_block_catalogs(rng, signature):
+            pool = [random_formula(rng, signature, names, 2) for _ in range(4)]
+            sents = []
+            for n in range(8):
+                mapping = {v: rng.choice(pool) for v in names}
+                if n % 2:
+                    mapping = {v: rebuilt(f) for v, f in mapping.items()}
+                s = random_sentence(rng, signature, names)
+                sents.append(UniversalSentence(
+                    tuple((substitute(l, mapping), substitute(r, mapping)) for l, r in s.premises),
+                    tuple((substitute(l, mapping), substitute(r, mapping)) for l, r in s.conclusions),
+                    signature,
+                    names,
+                ))
+            with (
+                mock.patch.object(ulogic, "_equations", wraps=ulogic._equations) as chunks,
+                mock.patch.object(ulogic, "_program", wraps=ulogic._program) as compiled,
+            ):
+                assert_batch_matches(K, sents)
+            assert compiled.call_count == chunks.call_count
+            assert max(len(call.args[1]) for call in chunks.call_args_list) == len(sents)
