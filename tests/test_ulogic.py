@@ -860,9 +860,9 @@ def test_program_has_one_step_per_distinct_subterm():
         reads = {}
         for i, (kind, x, y, _) in enumerate(steps):
             if kind not in (Var, Const):
-                assert x < i and (y is None or y < i)
-                reads.setdefault(x, []).append(i)
-                reads.setdefault(y, []).append(i)
+                for child in (x,) if y is None else (x, y):
+                    assert child < i
+                    reads.setdefault(child, []).append(i)
         stop = 0
         for compiled, _ in sides:
             for lhs, rhs in compiled:
