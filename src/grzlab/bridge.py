@@ -115,7 +115,7 @@ def extend_hom(H: HeytingAlgebra, M: ModalAlgebra, f) -> Homomorphism:
         raise InputError(f"not a Heyting homomorphism into the opens: {problems}")
     B, emb = boolean_extension(H)
     constraints = {emb[a]: values[a] for a in range(H.size)}
-    homs = hom_search(B, M, kind="modal", constraints=constraints, mode="any")
+    homs = hom_search(B, M, constraints=constraints)
     if len(homs) != 1:
         raise InternalCheckError(
             f"expected exactly one extension, search found {len(homs)}"
@@ -485,7 +485,7 @@ def _search_first_injection(F, A) -> tuple[int, ...] | None:
 def _homs(F, A) -> list[list[int]]:
     if isinstance(F, HeytingAlgebra):
         return [list(h.table) for h in heyting_hom_search(F, A)]
-    return [h.table() for h in hom_search(F, A, kind="modal")]
+    return [h.table() for h in hom_search(F, A)]
 
 
 def blok_esakia_catalog_check(K: AlgebraCatalog, M: ModalAlgebra) -> dict:

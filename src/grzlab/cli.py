@@ -374,7 +374,7 @@ def _cmd_verify_all(args) -> int:
             selected = {int(tok) for tok in args.criteria.split(",")}
         except ValueError:
             raise InputError("criteria must be a comma-separated list of numbers")
-    res = run_all(selected, max_atoms=args.max_atoms, max_size=args.max_size)
+    res = run_all(selected)
     for check in res["checks"]:
         status = "ok" if check["ok"] else "FAIL"
         print(
@@ -502,8 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the enumerated catalog to this file")
 
     sp = add("verify-all", _cmd_verify_all, "run the acceptance suite")
-    sp.add_argument("--max-atoms", type=int, default=4)
-    sp.add_argument("--max-size", type=int, default=8)
     sp.add_argument("--criteria", help="comma-separated criterion numbers")
 
     return parser

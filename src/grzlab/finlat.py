@@ -204,9 +204,6 @@ class HeytingAlgebra:
         """Derived order: a <= b iff a meet b == a (read-only)."""
         return derived(self, _meet_order)
 
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
-
     def neg(self, a: int) -> int:
         return int(self.imp[a, self.bot])
 
@@ -341,9 +338,9 @@ def _binary_witness(bad: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def downset_heyting(poset: FinitePoset, cap: int = ELEMENT_CAP) -> HeytingAlgebra:
+def downset_heyting(poset: FinitePoset) -> HeytingAlgebra:
     """The Heyting algebra of downsets, elements ordered by ascending mask."""
-    masks = downset_masks(poset, cap)
+    masks = downset_masks(poset)
     n = len(masks)
     arr = np.array(masks, dtype=np.int64)
     index_of = {m: i for i, m in enumerate(masks)}
@@ -652,17 +649,15 @@ def heyting_quotient(alg: HeytingAlgebra, u: int) -> tuple[HeytingAlgebra, Heyti
     return quot, proj
 
 
-def heyting_product(
-    factors: list[HeytingAlgebra], cap: int = ELEMENT_CAP
-) -> HeytingAlgebra:
+def heyting_product(factors: list[HeytingAlgebra]) -> HeytingAlgebra:
     """Componentwise product; tuples enumerate with the first factor slowest."""
     if not factors:
         return trivial_heyting()
     total = 1
     for f in factors:
         total *= f.size
-        if total > cap:
-            raise CapExceeded(f"product would have more than {cap} elements")
+        if total > ELEMENT_CAP:
+            raise CapExceeded(f"product would have more than {ELEMENT_CAP} elements")
     strides = []
     acc = 1
     for f in reversed(factors):

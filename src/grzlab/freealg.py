@@ -39,6 +39,13 @@ from .ulogic import (
 
 COORD_CAP = 64
 
+# Fixed bounds, raised by no flag: verify_ump checks the members of at most
+# UMP_MEMBER_CAP elements, and sigma_free_checks takes k <= SIGMA_K_CAP and
+# members of at most SIGMA_SIZE_CAP elements.
+UMP_MEMBER_CAP = 4
+SIGMA_K_CAP = 1
+SIGMA_SIZE_CAP = 4
+
 
 @dataclass
 class FreeAlgebra:
@@ -201,14 +208,15 @@ def ump_extension_count(free: FreeAlgebra, member, assignment) -> int:
     constraints = {free.generators[i]: assignment[i] for i in range(free.k)}
     if isinstance(free.algebra, HeytingAlgebra):
         return len(heyting_hom_search(free.algebra, member, constraints=constraints))
-    return len(hom_search(free.algebra, member, kind="modal", constraints=constraints))
+    return len(hom_search(free.algebra, member, constraints=constraints))
 
 
-def verify_ump(free: FreeAlgebra, max_member_size: int = 4) -> list[str]:
-    """Exhaustive unique-extension check over the small catalog members."""
+def verify_ump(free: FreeAlgebra) -> list[str]:
+    """Exhaustive unique-extension check over the catalog members of at
+    most ``UMP_MEMBER_CAP`` elements."""
     out = []
     for m_idx, member in enumerate(free.catalog.members):
-        if member.size > max_member_size:
+        if member.size > UMP_MEMBER_CAP:
             continue
         for assignment in itertools.product(range(member.size), repeat=free.k):
             count = ump_extension_count(free, member, assignment)
@@ -293,7 +301,7 @@ def completeness_report_k(
     }
 
 
-def sigma_free_checks(K: AlgebraCatalog, k: int, k_cap: int = 1, size_cap: int = 4) -> dict:
+def sigma_free_checks(K: AlgebraCatalog, k: int) -> dict:
     """Free-algebra side of the passage to interior algebras, at bound k.
 
     Builds F over K and F_sigma over the extended catalog, embeds B(F)
@@ -302,10 +310,14 @@ def sigma_free_checks(K: AlgebraCatalog, k: int, k_cap: int = 1, size_cap: int =
     """
     if K.kind != "heyting":
         raise InputError("sigma_free_checks expects a Heyting catalog")
-    if k > k_cap:
-        raise CapExceeded(f"generator bound {k} exceeds the cap {k_cap}")
-    if any(A.size > size_cap for A in K.members):
-        raise CapExceeded(f"members must have at most {size_cap} elements")
+    if k > SIGMA_K_CAP:
+        raise CapExceeded(
+            f"generator bound {k} exceeds the cap {SIGMA_K_CAP} (SIGMA_K_CAP); no flag raises it"
+        )
+    if any(A.size > SIGMA_SIZE_CAP for A in K.members):
+        raise CapExceeded(
+            f"members must have at most {SIGMA_SIZE_CAP} elements (SIGMA_SIZE_CAP); no flag raises it"
+        )
 
     free = free_algebra(K, k)
     BF, _ = boolean_extension(free.algebra)

@@ -13,6 +13,8 @@ two standard small algebras.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +25,9 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import MODES, derived, relation_isomorphisms
 
 ATOM_CAP = 12
+
+# Most atom maps a homomorphism search may try; no flag raises it.
+HOM_CAP = 10**7
 
 HOM_KINDS = ("boolean", "stable", "box_partial", "modal")
 
@@ -62,9 +67,6 @@ class ModalAlgebra:
 
     def neg(self, a: int) -> int:
         return self.top ^ a
-
-    def le(self, a: int, b: int) -> bool:
-        return a & b == a
 
     def imp(self, a: int, b: int) -> int:
         return (self.top ^ a) | b
@@ -122,11 +124,11 @@ def make_standard(name: str) -> ModalAlgebra:
     raise InputError(f"unknown standard algebra {name!r}; use 'S2' or 'S12'")
 
 
-def complex_algebra(poset, cap: int = ATOM_CAP) -> ModalAlgebra:
+def complex_algebra(poset) -> ModalAlgebra:
     """Powerset algebra of a poset: box(S) = largest downset inside S."""
     poset.require_valid()
-    if poset.size > cap:
-        raise CapExceeded(f"poset has {poset.size} points, atom cap is {cap}")
+    if poset.size > ATOM_CAP:
+        raise CapExceeded(f"poset has {poset.size} points, atom cap is {ATOM_CAP}")
     size = 1 << poset.size
     box = np.zeros(size, dtype=np.int64)
     masks = np.arange(size, dtype=np.int64)
@@ -231,30 +233,25 @@ def require_grz(alg: ModalAlgebra) -> None:
 
 @dataclass(frozen=True)
 class Filter:
-    """A filter, stored by its least element ``bottom``.
+    """An open filter, stored by its least element ``bottom``.
 
     Every filter of a finite algebra is principal: its members are the
-    elements above ``bottom``.  An open filter also needs box(bottom) =
-    bottom, which makes it closed under box.
+    elements above ``bottom``.  It is open when box(bottom) = bottom, which
+    makes it closed under box.
     """
 
     algebra: ModalAlgebra
     bottom: int
-    kind: str  # "boolean" | "open"
 
     def __contains__(self, b: int) -> bool:
         return b & self.bottom == self.bottom
 
     def validate(self) -> list[str]:
-        out: list[str] = []
-        alg = self.algebra
-        if self.kind not in ("boolean", "open"):
-            out.append(f"unknown filter kind {self.kind!r}")
-        if not 0 <= self.bottom <= alg.top:
-            out.append("least element outside the carrier")
-        elif self.kind == "open" and not alg.is_open(self.bottom):
-            out.append(f"not box closed at {self.bottom}")
-        return out
+        if not 0 <= self.bottom <= self.algebra.top:
+            return ["least element outside the carrier"]
+        if not self.algebra.is_open(self.bottom):
+            return [f"not box closed at {self.bottom}"]
+        return []
 
     def least(self) -> int:
         return self.bottom
@@ -262,7 +259,7 @@ class Filter:
 
 def open_filters(alg: ModalAlgebra) -> list[Filter]:
     """All open filters, one per open element, by increasing least element."""
-    return [Filter(alg, u, "open") for u in alg.open_elements()]
+    return [Filter(alg, u) for u in alg.open_elements()]
 
 
 def quotient(alg: ModalAlgebra, filt: Filter) -> tuple[ModalAlgebra, "Homomorphism"]:
@@ -272,8 +269,6 @@ def quotient(alg: ModalAlgebra, filt: Filter) -> tuple[ModalAlgebra, "Homomorphi
     """
     if filt.algebra is not alg:
         raise InputError("filter belongs to a different algebra")
-    if filt.kind != "open":
-        raise InputError("quotient requires an open filter")
     bad = filt.validate()
     if bad:
         raise InputError(f"invalid filter: {bad}")
@@ -557,121 +552,78 @@ class Homomorphism:
 def hom_search(
     source: ModalAlgebra,
     target: ModalAlgebra,
-    kind: str = "modal",
     constraints: dict[int, int] | None = None,
     mode: str = "any",
-    domain: BooleanSubalgebra | None = None,
-    max_candidates: int = 10**7,
 ) -> list[Homomorphism]:
-    """All homomorphisms of the given kind and mode, in value-table order.
+    """All modal homomorphisms of the given mode, in value-table order.
 
-    Boolean homomorphisms out of a powerset (sub)algebra correspond to
-    functions from the target's atoms to the source's blocks: f(S) collects
-    the target atoms whose block lands inside S.  Such an f is fixed by the
-    images of the blocks, which are disjoint and cover the target.  Blocks
-    are sorted, so the first domain element on which two maps differ is the
-    first block whose images differ: the search assigns block images block
-    by block in ascending order, which generates the maps in value-table
-    order without sorting.  The constraints prune the blocks each target
-    atom may go to; each complete map is then filtered by the box condition
-    of the requested kind.  Injectivity of f is surjectivity of the atom
-    map and vice versa.
+    Boolean homomorphisms out of a powerset algebra correspond to functions
+    from the target's atoms to the source's atoms: f(S) collects the target
+    atoms sent into S.  Such an f is fixed by the images of the
+    source atoms, which are disjoint and cover the target.  The first
+    element on which two maps differ is the first atom whose images differ:
+    the search assigns atom images in ascending order, which generates the
+    maps in value-table order without sorting.  The constraints prune the
+    atoms each target atom may go to; each complete map is then kept when
+    it commutes with box.  Injectivity of f is surjectivity of the atom map
+    and vice versa.  A search over more than ``HOM_CAP`` atom maps is
+    refused before it starts.
     """
-    return list(
-        _hom_search(source, target, kind, constraints, mode, domain, max_candidates)
-    )
+    return list(_hom_search(source, target, constraints, mode))
 
 
 def _hom_search(
     source: ModalAlgebra,
     target: ModalAlgebra,
-    kind: str = "modal",
     constraints: dict[int, int] | None = None,
     mode: str = "any",
-    domain: BooleanSubalgebra | None = None,
-    max_candidates: int = 10**7,
 ) -> Iterator[Homomorphism]:
     """hom_search's maps one at a time, lazily, in value-table order."""
-    if kind not in HOM_KINDS:
-        raise InputError(f"kind must be one of {HOM_KINDS}")
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}")
-    if kind == "box_partial" and domain is None:
-        raise InputError("box_partial search needs a declared domain subalgebra")
-    if domain is not None and domain.algebra is not source:
-        raise InputError("domain subalgebra belongs to a different algebra")
-    if domain is not None and kind in ("stable", "modal"):
-        raise InputError(f"kind={kind} is a full-carrier contract; no domain allowed")
-
-    blocks = domain.blocks if domain is not None else tuple(
-        1 << i for i in range(source.atoms)
-    )
-    dom_elements = domain.elements if domain is not None else tuple(range(source.size))
-    dom_set = set(dom_elements)
-    nb = len(blocks)
+    nb = source.atoms
     ka = target.atoms
 
     allowed: list[list[int]] = [list(range(nb)) for _ in range(ka)]
     for s, v in (constraints or {}).items():
-        if s not in dom_set:
-            raise InputError(f"constraint key {s} outside the (sub)algebra")
+        if not 0 <= s <= source.top:
+            raise InputError(f"constraint key {s} outside the source")
         if not 0 <= v <= target.top:
             raise InputError(f"constraint value {v} outside the target")
         for y in range(ka):
-            want = bool((v >> y) & 1)
-            allowed[y] = [
-                bi for bi in allowed[y] if ((blocks[bi] & s) == blocks[bi]) == want
-            ]
+            want = (v >> y) & 1
+            allowed[y] = [i for i in allowed[y] if (s >> i) & 1 == want]
 
-    count = 1
-    for opts in allowed:
-        count *= len(opts)
-        if count > max_candidates:
-            raise CapExceeded(
-                f"homomorphism search space exceeds {max_candidates} candidates"
-            )
+    count = math.prod(len(opts) for opts in allowed)
+    if count > HOM_CAP:
+        raise CapExceeded(
+            f"homomorphism search has {count} candidate atom maps, cap is {HOM_CAP} "
+            f"(HOM_CAP); no flag raises it"
+        )
 
-    # may[i]: target atoms block i may receive; later[i]: those some block
+    # may[i]: target atoms atom i may receive; later[i]: those some atom
     # from i on may receive, so atoms outside later[i + 1] must be placed by i.
     may = [0] * nb
     for y, opts in enumerate(allowed):
-        for bi in opts:
-            may[bi] |= 1 << y
+        for i in opts:
+            may[i] |= 1 << y
     later = [0] * (nb + 1)
     for i in range(nb - 1, -1, -1):
         later[i] = later[i + 1] | may[i]
     injective = mode in ("injective", "iso")
     surjective = mode in ("surjective", "iso")
-
-    # Element t of the domain (ascending) is the union of the blocks at the
-    # set bits of t; box_at[t] is the position of its box in the domain, or
-    # -1 where a box_partial domain does not contain it.
-    position = {e: t for t, e in enumerate(dom_elements)}
-    box_at = [position.get(int(source.box[e]), -1) for e in dom_elements]
-    tbox = target.box.tolist()
-
-    def box_ok(val: list[int]) -> bool:
-        if kind == "stable":
-            return not any(val[b] & ~tbox[v] for b, v in zip(box_at, val))
-        if kind == "modal":
-            return all(val[b] == tbox[v] for b, v in zip(box_at, val))
-        if kind == "box_partial":
-            return all(b < 0 or val[b] == tbox[v] for b, v in zip(box_at, val))
-        return True
-
+    sbox, tbox = source.box.tolist(), target.box.tolist()
     images = [0] * nb
 
     def assign(i: int, rest: int):
         if i == nb:
-            if rest:  # no blocks at all, and target atoms left to place
+            if rest:  # no atoms at all, and target atoms left to place
                 return
             val = [0]
             for img in images:
                 val += [v | img for v in val]
-            if box_ok(val):
-                yield Homomorphism(
-                    source, target, kind, dict(zip(dom_elements, val)), domain
-                )
+            if all(map(operator.eq, map(val.__getitem__, sbox), map(tbox.__getitem__, val))):
+                yield Homomorphism(source, target, "modal", dict(enumerate(val)))
             return
         avail = rest & may[i]
         img = 0
@@ -742,11 +694,11 @@ def _accessibility(alg: ModalAlgebra) -> np.ndarray:
     return (coatom_boxes[None, :] >> points[:, None]) & 1 == 0
 
 
-def modal_product(factors: list[ModalAlgebra], cap: int = ATOM_CAP) -> ModalAlgebra:
+def modal_product(factors: list[ModalAlgebra]) -> ModalAlgebra:
     """Product on the disjoint atom union; factor 0 takes the low bits."""
     total = sum(f.atoms for f in factors)
-    if total > cap:
-        raise CapExceeded(f"product would have {total} atoms, cap is {cap}")
+    if total > ATOM_CAP:
+        raise CapExceeded(f"product would have {total} atoms, cap is {ATOM_CAP}")
     if not factors:
         return trivial_modal()
     size = 1 << total
@@ -786,7 +738,7 @@ def _maximal_open_filter(alg: ModalAlgebra, a: int) -> Filter:
     minimal = [
         u for u in candidates if not any(v != u and v & u == v for v in candidates)
     ]
-    return Filter(alg, min(minimal), "open")
+    return Filter(alg, min(minimal))
 
 
 def stable_witness_construct(alg: ModalAlgebra, a: int) -> Homomorphism:
@@ -858,7 +810,7 @@ class BlokWitness:
         if not self.subalgebra.box_closed:
             out.append("subalgebra not box closed")
         bad = self.filter.validate()
-        if bad or self.filter.kind != "open":
+        if bad:
             out.append(f"filter invalid: {bad}")
         target = make_standard(self.target_name)
         if self.iso.source is not self.quotient or self.iso.target.atoms != target.atoms:
@@ -938,10 +890,10 @@ def blok_characterization(alg: ModalAlgebra) -> BlokResult:
     n_elems = [b for b in range(alg.size) if proj1(b) in p_elems]
     n_sub = subalgebra_from_elements(alg, n_elems)
     n_alg, enc, _ = subalgebra_as_algebra(n_sub)
-    filt = Filter(n_alg, enc[g_filter.bottom], "open")
+    filt = Filter(n_alg, enc[g_filter.bottom])
     q, proj = quotient(n_alg, filt)
     target = make_standard(target_name)
-    isos = hom_search(q, target, kind="modal", mode="iso")
+    isos = hom_search(q, target, mode="iso")
     if not isos:
         raise InternalCheckError(f"quotient is not isomorphic to {target_name}")
     witness = BlokWitness(n_sub, n_alg, enc, filt, q, proj, isos[0], target_name)

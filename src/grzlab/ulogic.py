@@ -822,9 +822,9 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
             # The next member scanned alone in sub-boxes, or stop; flat blocks
             # end where it begins.  A scan that fits in one block has none.
             big = _next_big(totals, 0, stop) if end > _BLOCK else stop
-            # The sentences of the chunk that failed on the member the block
-            # begins in, and where that member ends.
-            lo, done, done_end = 0, None, 0
+            # Per sentence, where the member it last failed on ends: its
+            # cells before that are skipped.
+            lo, resume = 0, [0] * len(chunk)
             while lo < end:
                 if lo < starts[big]:
                     hi = min(lo + _BLOCK, starts[big])
@@ -834,12 +834,6 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
                 else:
                     ops, shape, digits = box_layout(members[big], nvars, lo - starts[big])
                     hi = lo + math.prod(shape)
-                # Where the member holding the block's last coordinate ends,
-                # and, if it goes on past the block, the sentences failing on it.
-                ends = starts[bisect.bisect_right(starts, hi - 1)] if hi < end else end
-                now = None
-                if hi < ends:
-                    now = done if done_end == ends else set()
                 bad = _refuting(equations, steps, len(chunk), shape, ops, dict(zip(variables, digits)))
                 if bad is not None:
                     width = hi - lo
@@ -847,19 +841,14 @@ def refutations(owner, sents, cap: int = EVAL_CAP):
                     j = 0
                     while j < cells.size:
                         pos, k = divmod(int(cells[j]), width)
-                        i = bisect.bisect_right(starts, lo + k) - 1
-                        if done is None or lo + k >= done_end or pos not in done:
+                        if lo + k >= resume[pos]:
+                            i = bisect.bisect_right(starts, lo + k) - 1
                             yield chunk[pos], i, lo + k - starts[i]
-                            if now is not None and starts[i + 1] == ends:
-                                now.add(pos)
-                        j = int(cells.searchsorted(pos * width + min(starts[i + 1] - lo, width)))
-                done, done_end = None, 0
-                if now is not None:
-                    if len(now) < len(chunk):
-                        done, done_end = now, ends
-                    else:
-                        hi = ends
-                lo = hi
+                            resume[pos] = starts[i + 1]
+                        j = int(cells.searchsorted(pos * width + min(resume[pos] - lo, width)))
+                # Once every sentence has failed on the member the block ends
+                # in, the rest of that member is skipped.
+                lo = max(hi, min(resume))
                 if big < stop and lo == starts[big + 1]:
                     big = _next_big(totals, big + 1, stop)
     if refused < len(sents):

@@ -94,9 +94,9 @@ def check_criterion_1() -> tuple[bool, str]:
     return True, f"witnesses: S2 at {r2.grz_witness}, S12 at {r12.grz_witness}"
 
 
-def check_criterion_2(max_atoms: int = 4) -> tuple[bool, str]:
+def check_criterion_2() -> tuple[bool, str]:
     """Inequality scan and structural search agree on every small algebra."""
-    cat = interior_catalog(min(4, max_atoms))
+    cat = interior_catalog(4)
     n_grz = 0
     for i, M in enumerate(cat.members):
         rep = validate_modal(M)
@@ -114,9 +114,9 @@ def check_criterion_2(max_atoms: int = 4) -> tuple[bool, str]:
     return True, f"{len(cat.members)} algebras, {n_grz} Grzegorczyk"
 
 
-def check_criterion_3(max_atoms: int = 4) -> tuple[bool, str]:
+def check_criterion_3() -> tuple[bool, str]:
     """Every Grz failure yields a stable surjection onto S2 with coatom image."""
-    cat = interior_catalog(min(3, max_atoms))
+    cat = interior_catalog(3)
     count = 0
     for i, M in enumerate(cat.members):
         for a in grz_violations(M):
@@ -132,9 +132,9 @@ def check_criterion_3(max_atoms: int = 4) -> tuple[bool, str]:
     return True, f"{count} failing elements witnessed"
 
 
-def check_criterion_4(max_size: int = 8) -> tuple[bool, str]:
+def check_criterion_4() -> tuple[bool, str]:
     """B lands in Grz and O undoes it, over every Heyting algebra of size <= 8."""
-    algs = enumerate_heyting(min(8, max_size))
+    algs = enumerate_heyting(8)
     for i, H in enumerate(algs):
         B, emb = boolean_extension(H)
         if not validate_modal(B).grz:
@@ -149,9 +149,9 @@ def check_criterion_4(max_size: int = 8) -> tuple[bool, str]:
     return True, f"{len(algs)} Heyting algebras through B and back"
 
 
-def check_criterion_5(max_atoms: int = 4) -> tuple[bool, str]:
+def check_criterion_5() -> tuple[bool, str]:
     """Reconstruction M ≅ BO(M) with a maximal all-open chain, for Grz members."""
-    members = grz_members(interior_catalog(min(4, max_atoms)))
+    members = grz_members(interior_catalog(4))
     for i, M in enumerate(members):
         iso, chain = finite_blok_check(M)
         if iso.verify() or not (iso.injective and iso.surjective):
@@ -167,9 +167,9 @@ def check_criterion_5(max_atoms: int = 4) -> tuple[bool, str]:
     return True, f"{len(members)} Grzegorczyk algebras reconstructed"
 
 
-def check_criterion_6(max_atoms: int = 4) -> tuple[bool, str]:
+def check_criterion_6() -> tuple[bool, str]:
     """The staged elimination algorithms on every admissible input."""
-    members = grz_members(interior_catalog(min(3, max_atoms)))
+    members = grz_members(interior_catalog(3))
     steps = 0
     eliminations = 0
     for i, M in enumerate(members):
@@ -204,9 +204,9 @@ def check_criterion_6(max_atoms: int = 4) -> tuple[bool, str]:
     return True, f"{steps} extension steps, {eliminations} eliminations, example p={tr.p}"
 
 
-def check_criterion_7(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]:
+def check_criterion_7() -> tuple[bool, str]:
     """O and B commute with products, quotients and subalgebras."""
-    members = interior_catalog(min(3, max_atoms)).members
+    members = interior_catalog(3).members
     opens_of = [open_algebra(M)[0] for M in members]
     pairs = 0
     for (M1, O1), (M2, O2) in itertools.product(zip(members, opens_of), repeat=2):
@@ -247,12 +247,12 @@ def check_criterion_7(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]
             sub_cases += 1
 
     b_cases = 0
-    for H in enumerate_heyting(min(6, max_size)):
+    for H in enumerate_heyting(6):
         BH, emb = boolean_extension(H)
         for u in range(H.size):
             Hq, _ = heyting_quotient(H, u)
             B1, _ = boolean_extension(Hq)
-            Q, _ = quotient(BH, Filter(BH, emb[u], "open"))
+            Q, _ = quotient(BH, Filter(BH, emb[u]))
             if not modal_isomorphic(B1, Q):
                 return False, f"B-quotient case fails at u={u}"
             b_cases += 1
@@ -262,10 +262,10 @@ def check_criterion_7(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]
     )
 
 
-def check_criterion_8(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]:
+def check_criterion_8() -> tuple[bool, str]:
     """Three membership routes agree for every algebra/catalog combination."""
-    grz3 = grz_members(interior_catalog(min(3, max_atoms)))
-    pool = enumerate_heyting(min(5, max_size))
+    grz3 = grz_members(interior_catalog(3))
+    pool = enumerate_heyting(5)
     combos = 0
     positives = 0
     for M in grz3:
@@ -281,9 +281,9 @@ def check_criterion_8(max_atoms: int = 4, max_size: int = 8) -> tuple[bool, str]
     return True, f"{combos} combinations, {positives} positive memberships"
 
 
-def check_criterion_9(max_size: int = 8) -> tuple[bool, str]:
+def check_criterion_9() -> tuple[bool, str]:
     """Translation and evaluation reproduce the known examples."""
-    hey = heyting_catalog(min(8, max_size))
+    hey = heyting_catalog(8)
     mp = translate(parse_rule("p, p -> q / q", "heyting"))
     res = catalog_validates(hey, mp)
     if not res["valid"]:
@@ -333,34 +333,28 @@ def check_criterion_10() -> tuple[bool, str]:
 
 
 CHECKS = [
-    (1, "standard algebras", check_criterion_1, ()),
-    (2, "structural Grz characterization", check_criterion_2, ("max_atoms",)),
-    (3, "stable witness construction", check_criterion_3, ("max_atoms",)),
-    (4, "extension and opens round trip", check_criterion_4, ("max_size",)),
-    (5, "finite reconstruction", check_criterion_5, ("max_atoms",)),
-    (6, "staged elimination", check_criterion_6, ("max_atoms",)),
-    (7, "functor commutation", check_criterion_7, ("max_atoms", "max_size")),
-    (8, "catalog correspondence", check_criterion_8, ("max_atoms", "max_size")),
-    (9, "translation and evaluation", check_criterion_9, ("max_size",)),
-    (10, "free algebras and admissibility", check_criterion_10, ()),
+    (1, "standard algebras", check_criterion_1),
+    (2, "structural Grz characterization", check_criterion_2),
+    (3, "stable witness construction", check_criterion_3),
+    (4, "extension and opens round trip", check_criterion_4),
+    (5, "finite reconstruction", check_criterion_5),
+    (6, "staged elimination", check_criterion_6),
+    (7, "functor commutation", check_criterion_7),
+    (8, "catalog correspondence", check_criterion_8),
+    (9, "translation and evaluation", check_criterion_9),
+    (10, "free algebras and admissibility", check_criterion_10),
 ]
 
 
-def run_all(selected=None, max_atoms: int = 4, max_size: int = 8) -> dict:
-    """Run the checks (all, or a collection of numbers) and time each one.
-
-    max_atoms and max_size shrink the catalogs for quick partial runs; the
-    defaults run the full advertised suite.
-    """
-    caps = {"max_atoms": max_atoms, "max_size": max_size}
+def run_all(selected=None) -> dict:
+    """Run the checks (all, or a collection of numbers) and time each one."""
     results = []
-    for num, name, fn, uses in CHECKS:
+    for num, name, fn in CHECKS:
         if selected is not None and num not in selected:
             continue
-        kwargs = {u: caps[u] for u in uses}
         t0 = time.perf_counter()
         try:
-            ok, details = fn(**kwargs)
+            ok, details = fn()
         except Exception as exc:
             ok, details = False, f"{type(exc).__name__}: {exc}"
         dt = time.perf_counter() - t0

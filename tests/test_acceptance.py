@@ -14,7 +14,7 @@ import pytest
 from grzlab import catalog, finlat
 from grzlab.verify import CHECKS, RUNTIME_BOUNDS
 
-_BY_NUM = {num: (name, fn) for num, name, fn, _ in CHECKS}
+_BY_NUM = {num: (name, fn) for num, name, fn in CHECKS}
 
 
 @pytest.fixture(autouse=True)

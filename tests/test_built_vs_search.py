@@ -36,7 +36,6 @@ from grzlab.modal import (
     are_isomorphic,
     blok_characterization,
     complex_algebra,
-    generated_subalgebra,
     hom_search,
     make_standard,
     modal_product,
@@ -88,7 +87,7 @@ def test_built_iso_is_one_the_search_finds():
         B, _ = boolean_extension(open_algebra(M)[0])
         assert iso.target is B
         assert not iso.verify() and iso.injective and iso.surjective
-        found = [h.table() for h in hom_search(M, B, kind="modal", mode="iso")]
+        found = [h.table() for h in hom_search(M, B, mode="iso")]
         assert iso.table() in found
 
 
@@ -121,24 +120,22 @@ def test_one_generated_search_matches_the_partition_scan():
 # hom_search's order
 
 
-def brute_hom_search(source, target, kind, mode, constraints=None, domain=None):
+def brute_hom_search(source, target, mode, constraints=None):
     """Every atom map checked by Homomorphism.verify, sorted by table."""
-    blocks = domain.blocks if domain is not None else [1 << i for i in range(source.atoms)]
-    elems = domain.elements if domain is not None else range(source.size)
     out = []
-    for h in itertools.product(range(len(blocks)), repeat=target.atoms):
-        if mode in ("injective", "iso") and len(set(h)) != len(blocks):
+    for h in itertools.product(range(source.atoms), repeat=target.atoms):
+        if mode in ("injective", "iso") and len(set(h)) != source.atoms:
             continue
         if mode in ("surjective", "iso") and len(set(h)) != len(h):
             continue
         values = {
-            e: sum(1 << y for y, b in enumerate(h) if blocks[b] & e == blocks[b])
-            for e in elems
+            e: sum(1 << y for y, i in enumerate(h) if (e >> i) & 1)
+            for e in range(source.size)
         }
         if any(values[s] != v for s, v in (constraints or {}).items()):
             continue
-        if not Homomorphism(source, target, kind, values, domain).verify():
-            out.append([values[e] for e in elems])
+        if not Homomorphism(source, target, "modal", values).verify():
+            out.append([values[e] for e in range(source.size)])
     return sorted(out)
 
 
@@ -147,16 +144,15 @@ def test_hom_search_generates_every_map_in_table_order():
     algs = list(interior_catalog(3).members) + [S2, S12]
     for _ in range(60):
         A, B = rng.choice(algs), rng.choice(algs)
-        for kind in ("boolean", "stable", "modal"):
-            for mode in MODES:
-                got = [h.table() for h in hom_search(A, B, kind=kind, mode=mode)]
-                assert got == brute_hom_search(A, B, kind, mode)
-        pin = {rng.randrange(A.size): rng.randrange(B.size)}
-        got = [h.table() for h in hom_search(A, B, kind="boolean", constraints=pin)]
-        assert got == brute_hom_search(A, B, "boolean", "any", pin)
-        dom = generated_subalgebra(A, [rng.randrange(A.size)], "boolean")
-        got = [h.table() for h in hom_search(A, B, kind="box_partial", domain=dom)]
-        assert got == brute_hom_search(A, B, "box_partial", "any", domain=dom)
+        for mode in MODES:
+            got = [h.table() for h in hom_search(A, B, mode=mode)]
+            assert got == brute_hom_search(A, B, mode)
+        # Pinned to a value some map takes, where there is one.
+        homs = brute_hom_search(A, B, "any")
+        a = rng.randrange(A.size)
+        pin = {a: rng.choice(homs)[a] if homs else rng.randrange(B.size)}
+        got = [h.table() for h in hom_search(A, B, constraints=pin)]
+        assert got == brute_hom_search(A, B, "any", pin)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +163,7 @@ def all_then_first(K, M):
     """The three routes' certificates from complete searches, least table first."""
     t1 = t2 = t3 = None
     for i, B in enumerate(sigma_catalog(K).members):
-        homs = hom_search(M, B, kind="modal", mode="injective")
+        homs = hom_search(M, B, mode="injective")
         if homs:
             t1 = {"member": i, "map": min(h.table() for h in homs)}
             break
@@ -181,7 +177,7 @@ def all_then_first(K, M):
         BH, embH = boolean_extension(K.members[t2["member"]])
         lift = extend_hom(O_alg, BH, {a: embH[v] for a, v in enumerate(t2["map"])})
         B, _ = boolean_extension(O_alg)
-        iso = min(hom_search(M, B, kind="modal", mode="iso"), key=Homomorphism.table)
+        iso = min(hom_search(M, B, mode="iso"), key=Homomorphism.table)
         t3 = {"member": t2["member"], "map": [lift(iso(a)) for a in range(M.size)]}
     return t1, t2, t3
 

@@ -359,6 +359,13 @@ def test_verify_all_single_criterion(capsys):
     code, _, err = run(capsys, "verify-all", "--criteria", "x")
     assert code == 2
 
+    # The checks always run on their full catalogs: there is no shrink flag.
+    for flag in ("--max-atoms", "--max-size"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify-all", flag, "2"])
+        assert info.value.code == 2
+        capsys.readouterr()
+
 
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:

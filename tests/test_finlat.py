@@ -213,7 +213,7 @@ def test_product_corner_cases():
     one = heyting_product([chain_heyting(3)])
     assert are_isomorphic(one, chain_heyting(3))
     with pytest.raises(CapExceeded):
-        heyting_product([chain_heyting(10)] * 4, cap=100)
+        heyting_product([chain_heyting(10)] * 4)  # 10,000 > ELEMENT_CAP elements
 
 
 def test_record_roundtrip():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from grzlab.bridge import class_membership
-from grzlab.catalog import AlgebraCatalog
+from grzlab.catalog import AlgebraCatalog, heyting_catalog
 from grzlab.errors import CapExceeded, GrzlabError, InputError
 from grzlab.finlat import (
     antichain_poset,
@@ -368,3 +368,18 @@ def test_element_cap_refuses_at_once():
     assert free_algebra(two_chain_catalog(), 2, element_cap=16).algebra.size == 16
     with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
         free_algebra(two_chain_catalog(), 2, element_cap=15)
+
+
+def test_free_algebra_cap_ladder_within_the_default_caps():
+    # The largest closures the default caps admit at k = 2, on one-member
+    # catalogs.  On a 2-CPU x86_64 host the 8-chain (64 coordinates, at
+    # COORD_CAP) closed in 0.74 s and the refusal came after 0.26 s.
+    start = time.perf_counter()
+    free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(8),)), 2)
+    assert time.perf_counter() - start < 3.0
+    assert free.algebra.size == 342
+    member = heyting_catalog(5).members[6]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
+        free_algebra(AlgebraCatalog("heyting", (member,)), 2)
+    assert time.perf_counter() - start < 2.0

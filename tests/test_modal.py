@@ -12,6 +12,7 @@ from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import FinitePoset, antichain_poset, chain_poset
 from grzlab.modal import (
     ATOM_CAP,
+    HOM_CAP,
     BooleanSubalgebra,
     Filter,
     Homomorphism,
@@ -69,7 +70,7 @@ def test_complex_algebra_of_posets_is_grz():
 
 def test_complex_algebra_respects_cap():
     with pytest.raises(CapExceeded):
-        complex_algebra(chain_poset(5), cap=4)
+        complex_algebra(chain_poset(ATOM_CAP + 1))
 
 
 def test_validate_modal_witnesses():
@@ -95,35 +96,32 @@ def test_open_filters_and_least():
     filts = open_filters(s12)
     assert [f.least() for f in filts] == [0, 4, 7]
     assert all(f.validate() == [] for f in filts)
-    above = Filter(s12, 4, "open")
+    above = Filter(s12, 4)
     assert [b for b in range(s12.size) if b in above] == [4, 5, 6, 7]
 
 
 def test_filter_validate_flags_problems():
     s2 = make_standard("S2")
-    assert Filter(s2, 1, "open").validate() == ["not box closed at 1"]
-    assert Filter(s2, 1, "boolean").validate() == []
-    assert Filter(s2, 3, "bogus").validate() == ["unknown filter kind 'bogus'"]
-    assert Filter(s2, 4, "boolean").validate() == ["least element outside the carrier"]
+    assert Filter(s2, 1).validate() == ["not box closed at 1"]
+    assert Filter(s2, 3).validate() == []
+    assert Filter(s2, 4).validate() == ["least element outside the carrier"]
 
 
 def test_quotient_by_open_filter():
     s12 = make_standard("S12")
-    q, proj = quotient(s12, Filter(s12, 4, "open"))
+    q, proj = quotient(s12, Filter(s12, 4))
     assert q.atoms == 1 and q.box.tolist() == [0, 1]
     assert proj.verify() == [] and proj.surjective
     assert proj(7) == 1 and proj(3) == 0
 
     # quotient by the improper filter collapses everything
-    q, proj = quotient(s12, Filter(s12, 0, "open"))
+    q, proj = quotient(s12, Filter(s12, 0))
     assert q.size == 1
 
     with pytest.raises(InputError):
-        quotient(s12, Filter(s12, 4, "boolean"))
+        quotient(make_standard("S2"), Filter(s12, 4))
     with pytest.raises(InputError):
-        quotient(make_standard("S2"), Filter(s12, 4, "open"))
-    with pytest.raises(InputError):
-        quotient(s12, Filter(s12, 5, "open"))
+        quotient(s12, Filter(s12, 5))
 
 
 def test_subalgebra_elements_and_counts():
@@ -162,7 +160,7 @@ def test_subalgebra_as_algebra():
 
 def test_hom_search_isos_of_the_small_standard():
     s2 = make_standard("S2")
-    isos = hom_search(s2, s2, kind="modal", mode="iso")
+    isos = hom_search(s2, s2, mode="iso")
     assert [h.table() for h in isos] == [[0, 1, 2, 3], [0, 2, 1, 3]]
     assert all(h.verify() == [] for h in isos)
 
@@ -176,14 +174,19 @@ def test_hom_search_respects_constants():
 
 def test_hom_search_constraint_pruning():
     s2 = make_standard("S2")
-    pinned = hom_search(s2, s2, kind="modal", mode="iso", constraints={1: 2})
+    pinned = hom_search(s2, s2, mode="iso", constraints={1: 2})
     assert [h.table() for h in pinned] == [[0, 2, 1, 3]]
     with pytest.raises(InputError):
         hom_search(s2, s2, constraints={17: 0})
-    with pytest.raises(CapExceeded):
-        hom_search(
-            make_standard("S12"), make_standard("S12"), max_candidates=2
-        )
+    # 12^12 atom maps of the 12-point discrete algebra: refused before any
+    # is tried, with the count and the cap named.
+    discrete = complex_algebra(antichain_poset(ATOM_CAP))
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded) as refusal:
+        hom_search(discrete, discrete)
+    assert time.perf_counter() - t0 < 0.05
+    assert f"{ATOM_CAP**ATOM_CAP} candidate" in str(refusal.value)
+    assert f"cap is {HOM_CAP} (HOM_CAP); no flag raises it" in str(refusal.value)
 
 
 def test_hom_verify_catches_each_breakage():
@@ -277,6 +280,18 @@ def loop_meet_witness(h):
     return []
 
 
+def random_atom_map(rng, A, B, dom):
+    """A Boolean homomorphism from A (or its subalgebra dom) to B: each atom
+    of B goes to a random block, and an element to the atoms whose block
+    lies inside it.  None when there are atoms of B and no block."""
+    blocks = dom.blocks if dom is not None else [1 << i for i in range(A.atoms)]
+    elems = dom.elements if dom is not None else range(A.size)
+    if B.atoms and not blocks:
+        return None
+    h = [rng.randrange(len(blocks)) for _ in range(B.atoms)]
+    return {e: sum(1 << y for y, b in enumerate(h) if blocks[b] & e == blocks[b]) for e in elems}
+
+
 def test_verify_meet_witness_matches_the_loop():
     rng = random.Random(20261018)
     algs = list(interior_catalog(3).members) + [
@@ -292,9 +307,9 @@ def test_verify_meet_witness_matches_the_loop():
             dom = generated_subalgebra(A, [rng.randrange(A.size)], "boolean")
         elems = dom.elements if dom is not None else range(A.size)
         kind = "box_partial" if dom is not None else rng.choice(["boolean", "stable", "modal"])
-        homs = hom_search(A, B, kind="box_partial" if dom is not None else "boolean", domain=dom)
-        if homs and rng.random() < 0.7:
-            values = dict(homs[0].values)
+        hom = random_atom_map(rng, A, B, dom)
+        if hom is not None and rng.random() < 0.7:
+            values = hom
             for _ in range(rng.randrange(3)):  # zero to two broken values
                 values[rng.choice(list(elems))] = rng.randrange(B.size)
         else:
@@ -320,11 +335,9 @@ def test_verify_meet_witness_matches_the_loop():
 # references they replaced
 
 
-def reference_filter_problems(alg, members, kind):
+def reference_filter_problems(alg, members):
     """The member-set check: top, upward, meet and box closure, by loops."""
     out = []
-    if kind not in ("boolean", "open"):
-        out.append(f"unknown filter kind {kind!r}")
     if any(not 0 <= m <= alg.top for m in members):
         return out + ["member outside the carrier"]
     if alg.top not in members:
@@ -333,7 +346,7 @@ def reference_filter_problems(alg, members, kind):
         out.append("not upward closed")
     if any(m & b not in members for m in members for b in members):
         out.append("not meet closed")
-    if kind == "open" and any(int(alg.box[m]) not in members for m in members):
+    if any(int(alg.box[m]) not in members for m in members):
         out.append("not box closed")
     return out
 
@@ -400,11 +413,10 @@ def test_filter_validate_matches_the_member_set_check():
     for M in interior_catalog(4).members:
         for u in range(M.size):
             members = frozenset(b for b in range(M.size) if u & b == u)
-            for kind in ("boolean", "open"):
-                filt = Filter(M, u, kind)
-                assert frozenset(b for b in range(M.size) if b in filt) == members
-                want = reference_filter_problems(M, members, kind)
-                assert (filt.validate() == []) == (want == [])
+            filt = Filter(M, u)
+            assert frozenset(b for b in range(M.size) if b in filt) == members
+            want = reference_filter_problems(M, members)
+            assert (filt.validate() == []) == (want == [])
 
 
 def test_quotient_matches_the_bit_loops():
