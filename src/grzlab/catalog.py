@@ -27,7 +27,6 @@ from .finlat import (
     canonical_key,
     downset_masks,
     downset_heyting,
-    permutation_table,
     poset_from_key,
     validate_heyting,
 )
@@ -147,7 +146,7 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
     new maximal point placed over one of its downsets.  That step,
     ``_extensions``, is shared with the size-bounded growth in
     ``enumerate_heyting``; each candidate is replaced by the representative
-    of its canonical key, computed over the shared ``permutation_table``.
+    of its canonical key, built from its reverse linear extensions.
     """
     if n < 0:
         raise InputError("point count must be nonnegative")
@@ -179,6 +178,15 @@ def _extensions(bases, n: int) -> tuple[FinitePoset, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def permutation_table(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as the rows of a read-only (n!, n) array,
+    built on the first use of each n for ``enumerate_topologies``."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms.setflags(write=False)
+    return perms
+
+
+@functools.lru_cache(maxsize=None)
 def enumerate_topologies(k: int) -> tuple[int, ...]:
     """Topologies on k points up to homeomorphism, as canonical family masks.
 
@@ -187,8 +195,8 @@ def enumerate_topologies(k: int) -> tuple[int, ...]:
     the k points, and the opens are the unions of clusters over its
     downsets.  A family mask has bit s set when the subset mask s is open.
     The canonical mask is the least image of the family under the point
-    permutations of the shared ``permutation_table``; at 6 points it needs
-    all 64 bits, so the images are ``uint64``.
+    permutations of ``permutation_table``; at 6 points it needs all 64
+    bits, so the images are ``uint64``.
     """
     if k < 0:
         raise InputError("point count must be nonnegative")

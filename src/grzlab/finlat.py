@@ -11,8 +11,6 @@ its join-irreducible elements; ``downset_heyting`` and
 
 from __future__ import annotations
 
-import functools
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -385,33 +383,46 @@ def _join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
     return FinitePoset(len(irr), alg.leq[np.ix_(irr, irr)])
 
 
-@functools.lru_cache(maxsize=None)
-def permutation_table(n: int) -> np.ndarray:
-    """Every permutation of 0..n-1 as the rows of a read-only (n!, n) array.
-
-    Built on the first use of each n and shared by every canonical form:
-    poset keys here and topology family masks in ``catalog``.
-    """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    perms.setflags(write=False)
-    return perms
-
-
 def canonical_key(poset: FinitePoset) -> int:
-    """Isomorphism-invariant key: minimum packed leq matrix over relabelings.
-
-    The relabelings are the rows of the shared ``permutation_table``.
-    """
+    """Isomorphism-invariant key of a valid poset: the least row-major packed
+    leq matrix over relabelings, built by the search in ``_canonical_key``."""
     return derived(poset, _canonical_key)
 
 
 def _canonical_key(poset: FinitePoset) -> int:
+    # The least key comes from an order listing each point before the points
+    # below it.  There row i is left[p_i] | bit i, left[p] marking the placed
+    # points above p at their columns.  So, depth first, place only the maximal
+    # remaining points of least left part; cut a prefix whose key is too big.
     n = poset.size
     if n > 7:
         raise CapExceeded("canonical key supports posets with at most 7 points")
-    if n == 0:
-        return 0
-    return kernels.perm_min_key(poset.leq.astype(np.uint8), permutation_table(n))
+    leq = poset.leq.tolist()
+    above = [sum(1 << q for q in range(n) if leq[p][q] and q != p) for p in range(n)]
+    below = [tuple(q for q in range(n) if leq[q][p] and q != p) for p in range(n)]
+
+    def place(placed: int, left: list[int], key: int, i: int, best: int) -> int:
+        if i == n:
+            return min(best, key)
+        ready = [p for p in range(n) if not (placed >> p) & 1 and not above[p] & ~placed]
+        least = min([left[p] for p in ready])
+        bit = 1 << (n - 1 - i)
+        key = (key << n) | least | bit
+        if key > best >> (n * (n - 1 - i)):
+            return best
+        twins = set()
+        for p in ready:
+            # Tied points share their strict up-set, which is placed; those that
+            # share the strict down-set too are swapped by an automorphism.
+            if left[p] == least and below[p] not in twins:
+                twins.add(below[p])
+                bits = left.copy()
+                for q in below[p]:
+                    bits[q] |= bit
+                best = place(placed | 1 << p, bits, key, i + 1, best)
+        return best
+
+    return place(0, [0] * n, 0, 0, 1 << (n * n))
 
 
 def poset_from_key(size: int, key: int) -> FinitePoset:

@@ -39,7 +39,7 @@ from .ulogic import (
 
 COORD_CAP = 64
 
-# Fixed bounds, raised by no flag: verify_ump checks the members of at most
+# Fixed bounds, raised by no flag: verify_ump takes members of at most
 # UMP_MEMBER_CAP elements, and sigma_free_checks takes k <= SIGMA_K_CAP and
 # members of at most SIGMA_SIZE_CAP elements.
 UMP_MEMBER_CAP = 4
@@ -212,12 +212,16 @@ def ump_extension_count(free: FreeAlgebra, member, assignment) -> int:
 
 
 def verify_ump(free: FreeAlgebra) -> list[str]:
-    """Exhaustive unique-extension check over the catalog members of at
-    most ``UMP_MEMBER_CAP`` elements."""
-    out = []
+    """Exhaustive unique-extension check over every catalog member; refuses
+    at once if a member has more than ``UMP_MEMBER_CAP`` elements."""
     for m_idx, member in enumerate(free.catalog.members):
         if member.size > UMP_MEMBER_CAP:
-            continue
+            raise CapExceeded(
+                f"member {m_idx} has {member.size} elements; verify_ump checks at most "
+                f"{UMP_MEMBER_CAP} (UMP_MEMBER_CAP); no flag raises it"
+            )
+    out = []
+    for m_idx, member in enumerate(free.catalog.members):
         for assignment in itertools.product(range(member.size), repeat=free.k):
             count = ump_extension_count(free, member, assignment)
             if count != 1:

@@ -1,4 +1,4 @@
-"""Vectorized numpy scans over operation tables and relation matrices.
+"""Vectorized numpy axiom scans over operation tables.
 
 Each kernel returns the least witness in a fixed order, so callers report
 the same counterexample every run.  Term evaluation lives in ``ulogic``.
@@ -44,24 +44,3 @@ def residuation_witness(meet: np.ndarray, imp: np.ndarray, leq: np.ndarray) -> i
             return (a * n + b) * n + c
     return -1
 
-
-# ---------------------------------------------------------------------------
-# Canonical form of a relation matrix: minimum packed bit string over
-# simultaneous row/column permutations.  Row-major, most significant bit
-# first, so keys compare like the matrices they encode.  n <= 7 keeps the
-# key inside a signed 64-bit integer.
-
-
-def perm_min_key(mat: np.ndarray, perms: np.ndarray) -> int:
-    """Minimum packed matrix over the given simultaneous permutations."""
-    n = mat.shape[0]
-    if n * n > 49:
-        raise ValueError("matrix too large for a 64-bit canonical key")
-    mat = np.ascontiguousarray(mat, dtype=np.uint8)
-    perms = np.ascontiguousarray(perms, dtype=np.int64).reshape(-1, n)
-    if n == 0:
-        return 0
-    gathered = mat[perms[:, :, None], perms[:, None, :]]
-    flat = gathered.reshape(perms.shape[0], n * n).astype(np.int64)
-    weights = np.int64(1) << np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    return int(np.min(flat @ weights))

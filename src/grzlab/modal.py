@@ -29,7 +29,7 @@ ATOM_CAP = 12
 # Most atom maps a homomorphism search may try; no flag raises it.
 HOM_CAP = 10**7
 
-HOM_KINDS = ("boolean", "stable", "box_partial", "modal")
+HOM_KINDS = ("stable", "box_partial", "modal")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """End-to-end CLI checks through main(argv)."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
+import grzlab
 from grzlab.cli import main
 from grzlab.finlat import chain_heyting, chain_poset, antichain_poset
 from grzlab.modal import complex_algebra
@@ -347,6 +352,27 @@ def test_enumerate(capsys, tmp_path):
 
     code, _, err = run(capsys, "enumerate", "--what", "posets", "--n", "9")
     assert code == 3
+
+
+def test_enumerate_posets_at_the_point_cap_within_budget():
+    # A fresh process, so no enumeration level is cached: POSET_POINT_CAP
+    # (7 points) from cold, well under a second on a 2-CPU x86_64 host.
+    src = str(pathlib.Path(grzlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["enumerate", "--what", "posets", "--n", "7", "--json"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "grzlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    # OEIS A000112: posets on 0..7 points up to isomorphism
+    assert json.loads(proc.stdout)["counts"] == [1, 1, 2, 5, 16, 63, 318, 2045]
+    assert seconds < 5.0
 
 
 def test_verify_all_single_criterion(capsys):

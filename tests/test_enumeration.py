@@ -1,4 +1,4 @@
-"""Size-bounded enumeration and the shared canonical forms against references.
+"""Size-bounded enumeration and the canonical forms against references.
 
 The references are deliberately naive: the unbounded poset enumeration
 filtered by downset count, a minimum over every relabeling computed in pure
@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from grzlab import catalog
+from grzlab.catalog import permutation_table
 from grzlab.finlat import (
     FinitePoset,
     canonical_key,
+    chain_poset,
     downset_heyting,
     downset_masks,
-    permutation_table,
 )
 
 
@@ -84,9 +85,56 @@ def _min_over_relabelings(poset):
 def test_canonical_key_matches_all_relabelings(seed):
     rng = np.random.default_rng(seed)
     for n in range(8):
-        poset = _random_poset(rng, n)
+        for _ in range(4):
+            poset = _random_poset(rng, n)
+            assert poset.validate() == []
+            assert canonical_key(poset) == _min_over_relabelings(poset)
+
+
+def _sum(*parts):
+    """The disjoint union of posets, each part's points after the previous."""
+    n = sum(p.size for p in parts)
+    leq = np.zeros((n, n), dtype=bool)
+    at = 0
+    for p in parts:
+        leq[at : at + p.size, at : at + p.size] = p.leq
+        at += p.size
+    return FinitePoset(n, leq)
+
+
+def _crown():
+    """The 6-point crown: minimal points 0-2 and maximal points 3-5, each
+    minimal point below two maximal ones, around a cycle."""
+    leq = np.eye(6, dtype=bool)
+    for i in range(3):
+        leq[i, 3 + i] = leq[i, 3 + (i + 1) % 3] = True
+    return FinitePoset(6, leq)
+
+
+def _vee():
+    """One point below two incomparable points."""
+    return FinitePoset(3, [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
+
+
+def _twin_heavy():
+    """Posets made mostly of twins, points with the same strict up- and
+    down-sets, which the key search branches on only once."""
+    yield from (_sum(*[chain_poset(1)] * n) for n in range(1, 8))
+    for length, count in ((2, 2), (2, 3), (3, 2)):
+        yield _sum(*[chain_poset(length)] * count)
+    yield _crown()
+    yield _sum(_vee(), _vee())
+
+
+def test_canonical_key_matches_all_relabelings_on_twins():
+    rng = np.random.default_rng(3)
+    for poset in _twin_heavy():
         assert poset.validate() == []
-        assert canonical_key(poset) == _min_over_relabelings(poset)
+        want = _min_over_relabelings(poset)
+        assert canonical_key(poset) == want
+        for _ in range(3):
+            perm = rng.permutation(poset.size)
+            assert canonical_key(FinitePoset(poset.size, poset.leq[np.ix_(perm, perm)])) == want
 
 
 def _canonical_family(family, k):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from grzlab import freealg
 from grzlab.bridge import class_membership
 from grzlab.catalog import AlgebraCatalog, heyting_catalog
 from grzlab.errors import CapExceeded, GrzlabError, InputError
@@ -112,6 +113,25 @@ def test_unique_extension_property():
     for k in (0, 1):
         assert verify_ump(free_algebra(K, k)) == []
     assert verify_ump(free_algebra(two_chain_catalog(), 2)) == []
+
+
+def test_verify_ump_refuses_a_member_past_its_cap(monkeypatch):
+    free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(5),)), 1)
+    with pytest.raises(
+        CapExceeded,
+        match=r"member 0 has 5 elements; verify_ump checks at most 4 [(]UMP_MEMBER_CAP[)]; "
+        "no flag raises it",
+    ):
+        verify_ump(free)
+    # The refusal comes before any member is checked, the small ones included
+    free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(2), chain_heyting(5))), 1)
+
+    def no_check(*args):
+        raise AssertionError("a member was checked before the refusal")
+
+    monkeypatch.setattr(freealg, "ump_extension_count", no_check)
+    with pytest.raises(CapExceeded, match="member 1 has 5 elements"):
+        verify_ump(free)
 
 
 def test_ump_count_outside_the_class():

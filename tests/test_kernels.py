@@ -75,16 +75,3 @@ def test_scan_modal_matches_python_reference():
     idx = _least_index(s12, "/ box(box(p -> box p) -> p) -> p", "modal")
     assert idx == 5  # least Grz failure of the eight-element standard algebra
 
-
-def test_perm_min_key_invariant_under_relabeling():
-    import itertools
-
-    leq = np.array(
-        [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]], dtype=np.int8
-    )
-    perms = np.array(list(itertools.permutations(range(4))), dtype=np.int64)
-    key = kernels.perm_min_key(leq, perms)
-    for p in perms[:8]:
-        relabeled = leq[np.ix_(p, p)]
-        assert kernels.perm_min_key(relabeled, perms) == key
-

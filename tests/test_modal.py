@@ -306,7 +306,7 @@ def test_verify_meet_witness_matches_the_loop():
         if rng.random() < 0.5:
             dom = generated_subalgebra(A, [rng.randrange(A.size)], "boolean")
         elems = dom.elements if dom is not None else range(A.size)
-        kind = "box_partial" if dom is not None else rng.choice(["boolean", "stable", "modal"])
+        kind = "box_partial" if dom is not None else rng.choice(["stable", "modal"])
         hom = random_atom_map(rng, A, B, dom)
         if hom is not None and rng.random() < 0.7:
             values = hom
@@ -324,9 +324,12 @@ def test_verify_meet_witness_matches_the_loop():
     for broken in (0b110000000, 0b111111111, 0b100000001):
         values = {a: a for a in range(M.size)}
         values[broken] = 0
-        h = Homomorphism(M, M, "boolean", values)
+        h = Homomorphism(M, M, "modal", values)
         want = loop_meet_witness(h)
         assert want and [w for w in h.verify() if w[0] == "meet"] == want
+    # No code builds a Boolean homomorphism, so "boolean" is not a kind
+    identity = {a: a for a in range(M.size)}
+    assert Homomorphism(M, M, "boolean", identity).verify() == [("kind", ())]
 
 
 # ---------------------------------------------------------------------------
