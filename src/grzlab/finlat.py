@@ -92,6 +92,7 @@ class FinitePoset:
         return _mask_from_bools(self.leq[:, j])
 
     def is_isomorphic(self, other: "FinitePoset") -> bool:
+        """Isomorphism of valid posets; up to 7 points, by canonical keys."""
         if self.size != other.size:
             return False
         if self.size <= 7:
