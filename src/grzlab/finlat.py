@@ -401,6 +401,12 @@ def _canonical_key(poset: FinitePoset) -> int:
     leq = poset.leq.tolist()
     above = [sum(1 << q for q in range(n) if leq[p][q] and q != p) for p in range(n)]
     below = [tuple(q for q in range(n) if leq[q][p] and q != p) for p in range(n)]
+    # A partial order is reflexive, and q < p puts all above p above q too:
+    # transitivity, and antisymmetry since q is never above itself.
+    if not all(leq[p][p] for p in range(n)) or any(
+        above[p] & ~above[q] for p in range(n) for q in below[p]
+    ):
+        raise InputError("canonical key needs a partial order")
 
     def place(placed: int, left: list[int], key: int, i: int, best: int) -> int:
         if i == n:

@@ -77,8 +77,11 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     modal element by element (~ and box) and then pair by pair (& and |).
     Pairs of elements already present a round earlier give only elements
     interned then, so each round pairs just the new elements with all
-    elements.  Returns the interned row keys and terms, the key index, the
-    ops, and the rows of bot, top and the generators.
+    elements.  Returns the interned row keys and terms, the ops, the
+    element numbers of bot, top and the generators (bot and top are one
+    element in a trivial catalog), and, for a Heyting catalog, the meet,
+    join and imp tables in interning numbers: int32 arrays whose entry
+    [a, b] is the number of op(a, b), each filled as its pair is applied.
     """
     ncoords = sum(A.size**k for A in K.members)
     ops, digits = assignment_layout(K, k, len(K.members), 0, ncoords)
@@ -91,28 +94,40 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     keys: list[bytes] = []
     terms: list[Formula] = []
 
-    def intern(rows, make_term):
-        for j, key in enumerate(_rows_to_keys(rows)):
-            if key not in index:
-                if len(keys) == element_cap:
-                    raise CapExceeded(
-                        f"free algebra closure exceeds {element_cap} elements "
-                        f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
-                    )
-                index[key] = len(keys)
-                keys.append(key)
-                terms.append(make_term(j))
+    def intern(rows, make_term) -> list[int]:
+        """The element number of each row, interning the rows not seen yet."""
+        found = _rows_to_keys(rows)
+        numbers = list(map(index.get, found))
+        if None in numbers:
+            for j, key in enumerate(found):
+                if numbers[j] is None:
+                    if key not in index:
+                        if len(keys) == element_cap:
+                            raise CapExceeded(
+                                f"free algebra closure exceeds {element_cap} elements "
+                                f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
+                            )
+                        index[key] = len(keys)
+                        keys.append(key)
+                        terms.append(make_term(j))
+                    numbers[j] = index[key]
+        return numbers
 
-    intern(fixed, lambda j: Const("bot") if j == 0 else Const("top") if j == 1 else Var(f"x{j - 2}"))
+    first = intern(fixed, lambda j: Const("bot") if j == 0 else Const("top") if j == 1 else Var(f"x{j - 2}"))
+    tables = [np.zeros((0, 0), dtype=np.int32) for _ in range(3)] if K.kind == "heyting" else None
     done = 0  # every pair of the first `done` elements has been applied
     while len(keys) > done:
         n0 = len(keys)
         E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n0, -1)
         if K.kind == "heyting":
-            for op, ctor in ((ops.meet, And), (ops.join, Or), (ops.imp, Imp)):
+            for t, (op, ctor) in enumerate(((ops.meet, And), (ops.join, Or), (ops.imp, Imp))):
+                table = np.zeros((n0, n0), dtype=np.int32)  # its pages stay unmapped until written
+                table[:done, :done] = tables[t]
+                tables[t] = table
                 for i in range(n0):
                     lo = done if i < done else 0
-                    intern(op(E[i], E[lo:]), lambda j, i=i, lo=lo, c=ctor: c(terms[i], terms[lo + j]))
+                    rows = op(E[i], E[lo:])
+                    table[i, lo:] = intern(rows, lambda j, i=i, lo=lo, c=ctor: c(terms[i], terms[lo + j]))
         else:
             new = E[done:]
             intern(
@@ -124,7 +139,7 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
                 pairs = np.stack([ops.meet(E[i], E[lo:]), ops.join(E[i], E[lo:])], axis=1)
                 intern(pairs, lambda j, i=i, lo=lo: (And, Or)[j % 2](terms[i], terms[lo + j // 2]))
         done = n0
-    return keys, terms, index, ops, fixed
+    return keys, terms, ops, first, tables
 
 
 def free_algebra(
@@ -138,8 +153,9 @@ def free_algebra(
     Subalgebra of the product over all (member, assignment) coordinates,
     generated by the k projection tuples; each element carries a defining
     term.  Heyting elements are numbered in sorted tuple order, modal ones
-    by their atom masks.  A closure that passes ``element_cap`` elements is
-    refused as soon as it does.
+    by their atom masks.  The Heyting tables are the closure's own, only
+    renumbered: no operation is applied after the closure.  A closure
+    that passes ``element_cap`` elements is refused as soon as it does.
     """
     if not K.members:
         raise InputError("free algebra needs a nonempty catalog")
@@ -152,29 +168,23 @@ def free_algebra(
             f"(COORD_CAP, default {COORD_CAP}); raise --coord-cap or lower k"
         )
 
-    keys, terms, index, ops, fixed = _closure(K, k, element_cap)
+    keys, terms, ops, first, tables = _closure(K, k, element_cap)
     n = len(keys)
     E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, -1)
 
-    def number(rows, numbering) -> list[int]:
-        return [int(numbering[index[key]]) for key in _rows_to_keys(rows)]
-
     if K.kind == "heyting":
         order = np.lexsort(E.T[::-1])
-        numbering = np.empty(n, dtype=np.int64)
+        numbering = np.empty(n, dtype=np.int32)
         numbering[order] = np.arange(n)
-        ordered = E[order]
-        tables = [np.zeros((n, n), dtype=np.int32) for _ in range(3)]
-        for a in range(n):
-            for t, op in zip(tables, (ops.meet, ops.join, ops.imp)):
-                t[a] = number(op(ordered[a], ordered), numbering)
-        bot, top = number(fixed[:2], numbering)
+        bot, top = numbering[first[:2]].tolist()
+        for t in range(3):  # in place, so each closure table is freed once renumbered
+            tables[t] = numbering[tables[t][np.ix_(order, order)]]
         alg = HeytingAlgebra(n, *tables, bot, top)
     else:
         # A finite Boolean algebra of masks: its atoms are the least
         # elements containing each point (coordinate, bit) of top.
         atoms = {}
-        for c, top_c in enumerate(fixed[1].tolist()):
+        for c, top_c in enumerate(E[first[1]].tolist()):
             for bit in range(top_c.bit_length()):
                 atom = np.bitwise_and.reduce(E[(E[:, c] >> bit) & 1 == 1], axis=0)
                 atoms[atom.tobytes()] = atom
@@ -198,7 +208,7 @@ def free_algebra(
         box = np.zeros(n, dtype=np.int64)
         box[numbering] = masks_of(ops.box(E))
         alg = ModalAlgebra(natoms, box)
-    generators = tuple(number(fixed[2:], numbering))
+    generators = tuple(numbering[first[2:]].tolist())
     term_map = {int(numbering[i]): terms[i] for i in range(n)}
     return FreeAlgebra(alg, generators, term_map, K, k)
 

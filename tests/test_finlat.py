@@ -138,6 +138,23 @@ def test_canonical_key_relabeling_invariance():
     assert canonical_key(poset_from_key(4, key)) == key
 
 
+def test_canonical_key_refuses_a_relation_that_is_not_a_partial_order():
+    # Not reflexive: point 0 is not below itself, so this is no poset and
+    # in particular not isomorphic to the 2-chain.
+    with pytest.raises(InputError, match="partial order"):
+        FinitePoset(2, [[1, 1], [0, 1]]).is_isomorphic(FinitePoset(2, [[0, 1], [0, 1]]))
+    # Not antisymmetric: 0 <= 1 <= 0.
+    with pytest.raises(InputError, match="partial order"):
+        canonical_key(FinitePoset(2, np.ones((2, 2), bool)))
+    # Not transitive: 0 <= 1 <= 2 but not 0 <= 2.
+    leq = np.eye(3, dtype=bool)
+    leq[0, 1] = leq[1, 2] = True
+    with pytest.raises(InputError, match="partial order"):
+        canonical_key(FinitePoset(3, leq))
+    leq[0, 2] = True
+    assert canonical_key(FinitePoset(3, leq)) == canonical_key(chain_poset(3))
+
+
 def test_hom_search_between_chains():
     c3, c2 = chain_heyting(3), chain_heyting(2)
     homs = heyting_hom_search(c3, c2)

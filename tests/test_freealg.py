@@ -4,10 +4,12 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grzlab import freealg
 from grzlab.bridge import class_membership
-from grzlab.catalog import AlgebraCatalog, heyting_catalog
+from grzlab.catalog import AlgebraCatalog, enumerate_heyting, heyting_catalog, interior_catalog
 from grzlab.errors import CapExceeded, GrzlabError, InputError
 from grzlab.finlat import (
     antichain_poset,
@@ -379,6 +381,26 @@ def test_free_algebra_matches_the_naive_closure(kind, members, k):
     assert [(e, to_text(t)) for e, t in free.terms.items()] == terms
 
 
+@st.composite
+def small_catalogs(draw):
+    """A one- or two-member catalog of Heyting algebras of at most 4
+    elements at k = 1 or 2, or of interior algebras on at most 2 points at
+    k = 1: at most 32 coordinates.  The 4-chain is left out at k = 2, where
+    the naive reference takes 4-8 s per catalog; NAIVE_CASES has it."""
+    kind, k = draw(st.sampled_from([("heyting", 1), ("heyting", 2), ("modal", 1)]))
+    pool = enumerate_heyting(4) if kind == "heyting" else interior_catalog(2).members
+    if k == 2:
+        pool = [A for A in pool if A.size < 4 or not (A.leq | A.leq.T).all()]
+    members = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+    return kind, members, k
+
+
+@settings(max_examples=25)
+@given(small_catalogs())
+def test_free_algebra_matches_the_naive_closure_on_random_catalogs(catalog):
+    test_free_algebra_matches_the_naive_closure(*catalog)
+
+
 def test_element_cap_refuses_at_once():
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
@@ -403,3 +425,12 @@ def test_free_algebra_cap_ladder_within_the_default_caps():
     with pytest.raises(CapExceeded, match="ELEMENT_CAP"):
         free_algebra(AlgebraCatalog("heyting", (member,)), 2)
     assert time.perf_counter() - start < 2.0
+
+
+def test_free_algebra_past_a_raised_coord_cap_within_budget():
+    # The 16-chain at k = 2 needs 256 coordinates, four times COORD_CAP.
+    # On a 2-CPU x86_64 host it closed in 1.1-1.4 s.
+    start = time.perf_counter()
+    free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(16),)), 2, coord_cap=256)
+    assert time.perf_counter() - start < 5.0
+    assert free.algebra.size == 342
