@@ -415,7 +415,7 @@ def test_element_cap_refuses_at_once():
 def test_free_algebra_cap_ladder_within_the_default_caps():
     # The largest closures the default caps admit at k = 2, on one-member
     # catalogs.  On a 2-CPU x86_64 host the 8-chain (64 coordinates, at
-    # COORD_CAP) closed in 0.74 s and the refusal came after 0.26 s.
+    # COORD_CAP) closed in 0.2-0.3 s and the refusal came after 0.2-0.3 s.
     start = time.perf_counter()
     free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(8),)), 2)
     assert time.perf_counter() - start < 3.0
@@ -429,7 +429,7 @@ def test_free_algebra_cap_ladder_within_the_default_caps():
 
 def test_free_algebra_past_a_raised_coord_cap_within_budget():
     # The 16-chain at k = 2 needs 256 coordinates, four times COORD_CAP.
-    # On a 2-CPU x86_64 host it closed in 1.1-1.4 s.
+    # On a 2-CPU x86_64 host it closed in 0.9 s.
     start = time.perf_counter()
     free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(16),)), 2, coord_cap=256)
     assert time.perf_counter() - start < 5.0
