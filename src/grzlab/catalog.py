@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import CapExceeded, InputError
 from .finlat import (
+    POSET_POINT_CAP,
     FinitePoset,
     HeytingAlgebra,
+    _canonical_key,
     canonical_key,
     downset_masks,
     downset_heyting,
@@ -33,7 +35,6 @@ from .finlat import (
 from .modal import ModalAlgebra, validate_modal
 
 FORMAT_VERSION = 1
-POSET_POINT_CAP = 7
 TOPOLOGY_POINT_CAP = 6
 
 _DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -161,7 +162,8 @@ def enumerate_posets(n: int) -> tuple[FinitePoset, ...]:
 
 def _extensions(bases, n: int) -> tuple[FinitePoset, ...]:
     """The n-point posets made by adding a new maximal point over a downset
-    of one of the (n-1)-point ``bases``: one per canonical key, in key order."""
+    of one of the (n-1)-point ``bases``: one per canonical key, in key order.
+    Candidates are orders by construction, so they skip the order check."""
     points = np.arange(n)
     keys: set[int] = set()
     for base in bases:
@@ -169,7 +171,7 @@ def _extensions(bases, n: int) -> tuple[FinitePoset, ...]:
             mat = np.zeros((n, n), dtype=bool)
             mat[: n - 1, : n - 1] = base.leq
             mat[:, n - 1] = ((down | 1 << (n - 1)) >> points) & 1
-            keys.add(canonical_key(FinitePoset(n, mat)))
+            keys.add(_canonical_key(FinitePoset(n, mat)))
     return tuple(poset_from_key(n, key) for key in sorted(keys))
 
 

@@ -20,6 +20,7 @@ from . import kernels
 from .errors import CapExceeded, InputError
 
 ELEMENT_CAP = 4096
+POSET_POINT_CAP = 7
 
 MODES = ("any", "injective", "surjective", "iso")
 
@@ -85,18 +86,17 @@ class FinitePoset:
     def require_valid(self) -> None:
         bad = self.validate()
         if bad:
-            raise InputError(f"not a poset: {bad}")
+            raise InputError(f"not a partial order: {bad}")
 
     def down_mask(self, j: int) -> int:
         """Bitmask of points lying below point j (j included)."""
         return _mask_from_bools(self.leq[:, j])
 
     def is_isomorphic(self, other: "FinitePoset") -> bool:
-        """Isomorphism of valid posets; up to 7 points, by canonical keys."""
-        if self.size != other.size:
-            return False
-        if self.size <= 7:
-            return canonical_key(self) == canonical_key(other)
+        """Isomorphism by ``relation_isomorphisms`` at every size, once both
+        relations are checked to be partial orders (``InputError`` if not)."""
+        self.require_valid()
+        other.require_valid()
         return next(relation_isomorphisms(self.leq, other.leq), None) is not None
 
     def to_record(self) -> dict:
@@ -385,8 +385,19 @@ def _join_irreducible_poset(alg: HeytingAlgebra) -> FinitePoset:
 
 
 def canonical_key(poset: FinitePoset) -> int:
-    """Isomorphism-invariant key of a valid poset: the least row-major packed
-    leq matrix over relabelings, built by the search in ``_canonical_key``."""
+    """Isomorphism-invariant key of a poset: the least row-major packed leq
+    matrix over relabelings, built by the search in ``_canonical_key``.
+
+    Keys deduplicate and order the enumeration; comparisons use
+    ``FinitePoset.is_isomorphic``.  The order is checked here, while
+    ``catalog._extensions`` keys candidates that are orders by construction.
+    """
+    if poset.size > POSET_POINT_CAP:
+        raise CapExceeded(
+            f"canonical key asked for {poset.size} points; POSET_POINT_CAP is "
+            f"{POSET_POINT_CAP} and no flag raises it"
+        )
+    poset.require_valid()
     return derived(poset, _canonical_key)
 
 
@@ -396,17 +407,9 @@ def _canonical_key(poset: FinitePoset) -> int:
     # points above p at their columns.  So, depth first, place only the maximal
     # remaining points of least left part; cut a prefix whose key is too big.
     n = poset.size
-    if n > 7:
-        raise CapExceeded("canonical key supports posets with at most 7 points")
     leq = poset.leq.tolist()
     above = [sum(1 << q for q in range(n) if leq[p][q] and q != p) for p in range(n)]
     below = [tuple(q for q in range(n) if leq[q][p] and q != p) for p in range(n)]
-    # A partial order is reflexive, and q < p puts all above p above q too:
-    # transitivity, and antisymmetry since q is never above itself.
-    if not all(leq[p][p] for p in range(n)) or any(
-        above[p] & ~above[q] for p in range(n) for q in below[p]
-    ):
-        raise InputError("canonical key needs a partial order")
 
     def place(placed: int, left: list[int], key: int, i: int, best: int) -> int:
         if i == n:
@@ -445,7 +448,8 @@ def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray, fits=None) -> Iterator
     Degree-pruned backtracking: point i only goes to a point of the same
     in- and out-degree that agrees with the points placed before it.  When
     given, ``fits(img)`` is asked after each placement too, with the images
-    of points 0..i, and a False prunes that partial map.
+    of points 0..i, and a False prunes that partial map.  The relations
+    need not be orders, and the search keeps its own stack: no depth limit.
     """
     if r1.shape != r2.shape:
         return
@@ -457,25 +461,31 @@ def relation_isomorphisms(r1: np.ndarray, r2: np.ndarray, fits=None) -> Iterator
         return
     img: list[int] = []
     used = [False] * n
-
-    def extend(i: int) -> Iterator[list[int]]:
+    start = 0  # the least image still to try for point len(img)
+    while True:
+        i = len(img)
         if i == n:
             yield list(img)
+        else:
+            for v in range(start, n):
+                if used[v] or deg2[v] != deg1[i]:
+                    continue
+                img.append(v)
+                if all(
+                    rows1[a][i] == rows2[img[a]][v] and rows1[i][a] == rows2[v][img[a]]
+                    for a in range(i + 1)
+                ) and (fits is None or fits(img)):
+                    break
+                img.pop()
+        if len(img) > i:  # point i is placed: go on to point i + 1
+            used[img[i]] = True
+            start = 0
+        elif img:  # nothing left for point i: try the next image of point i - 1
+            start = img.pop()
+            used[start] = False
+            start += 1
+        else:
             return
-        for v in range(n):
-            if used[v] or deg2[v] != deg1[i]:
-                continue
-            img.append(v)
-            if all(
-                rows1[a][i] == rows2[img[a]][v] and rows1[i][a] == rows2[v][img[a]]
-                for a in range(i + 1)
-            ) and (fits is None or fits(img)):
-                used[v] = True
-                yield from extend(i + 1)
-                used[v] = False
-            img.pop()
-
-    yield from extend(0)
 
 
 @dataclass
@@ -635,10 +645,15 @@ def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int]
 
 
 def are_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:
-    """Isomorphism of valid Heyting algebras, via their irreducible posets."""
+    """Isomorphism of valid Heyting algebras, via their irreducible posets.
+
+    Those are orders by construction, so they skip ``FinitePoset.validate``,
+    a cubic matrix product that costs more than the search on long chains.
+    """
     if a.size != b.size:
         return False
-    return join_irreducible_poset(a).is_isomorphic(join_irreducible_poset(b))
+    pa, pb = join_irreducible_poset(a), join_irreducible_poset(b)
+    return next(relation_isomorphisms(pa.leq, pb.leq), None) is not None
 
 
 def heyting_quotient(alg: HeytingAlgebra, u: int) -> tuple[HeytingAlgebra, HeytingHom]:

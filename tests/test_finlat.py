@@ -1,6 +1,7 @@
 """Posets, Heyting tables, homomorphisms, quotients, products."""
 
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -266,19 +267,57 @@ def random_poset(rng, n):
     return FinitePoset(n, leq)
 
 
-def test_poset_isomorphism_past_seven_points_matches_networkx():
-    # Past 7 points is_isomorphic backtracks over relation isomorphisms
-    # instead of comparing canonical keys.
+def crowns(*sizes):
+    """Disjoint k-crowns: minimal a_i below maximal b_i and b_(i+1 mod k).
+
+    Every point of a crown has degree 2, so crowns of equal total size share
+    their degree sequences and the search has to backtrack to tell them apart.
+    """
+    n = 2 * sum(sizes)
+    leq = np.eye(n, dtype=bool)
+    base = 0
+    for k in sizes:
+        for i in range(k):
+            leq[base + i, base + k + i] = leq[base + i, base + k + (i + 1) % k] = True
+        base += 2 * k
+    return FinitePoset(n, leq)
+
+
+def relabeled(rng, poset):
+    perm = list(range(poset.size))
+    rng.shuffle(perm)
+    return FinitePoset(poset.size, poset.leq[np.ix_(perm, perm)])
+
+
+def test_poset_isomorphism_matches_networkx():
+    # is_isomorphic backtracks over relation isomorphisms at every size;
+    # networkx serves only as the oracle.
     rng = random.Random(20261022)
-    outcomes = set()
-    for _ in range(200):
-        n = rng.choice([8, 9])
+    pairs = []
+    for _ in range(300):
+        n = rng.randint(1, 9)
         a, b = (random_poset(rng, n) for _ in range(2))
-        if rng.random() < 0.4:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            b = FinitePoset(n, a.leq[np.ix_(perm, perm)])
+        pairs.append((a, relabeled(rng, a) if rng.random() < 0.4 else b))
+    # 12 and 16 points: one crown against two with the same degrees.
+    for one, two in ((crowns(6), crowns(3, 3)), (crowns(8), crowns(4, 4))):
+        pairs += [(one, two), (two, one), (one, relabeled(rng, one)), (two, relabeled(rng, two))]
+    outcomes = set()
+    for a, b in pairs:
         want = nx.is_isomorphic(nx.DiGraph(a.leq), nx.DiGraph(b.leq))
         assert a.is_isomorphic(b) == want
-        outcomes.add(want)
-    assert outcomes == {True, False}
+        outcomes.add((a.size, want))
+    assert outcomes >= {(1, True)} | {(n, w) for n in range(2, 10) for w in (True, False)}
+
+
+def test_are_isomorphic_on_the_2000_chain_within_budget():
+    # The search keeps its own stack, so its depth is not bounded by Python's
+    # recursion limit.
+    a, b = chain_heyting(2000), chain_heyting(2000)
+    start = time.perf_counter()
+    assert are_isomorphic(a, b)
+    assert time.perf_counter() - start < 3.0
+
+
+def test_canonical_key_refuses_past_the_point_cap():
+    with pytest.raises(CapExceeded, match="8 points; POSET_POINT_CAP is 7 and no flag raises it"):
+        canonical_key(chain_poset(8))
