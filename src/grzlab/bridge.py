@@ -21,7 +21,6 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import (
     HeytingAlgebra,
     HeytingHom,
-    _heyting_hom_search,
     derived,
     heyting_hom_search,
     join_irreducibles,
@@ -476,8 +475,8 @@ def _first_injection(F, A) -> list[int] | None:
 
 def _search_first_injection(F, A) -> tuple[int, ...] | None:
     if isinstance(F, HeytingAlgebra):
-        h = next(_heyting_hom_search(F, A, mode="injective"), None)
-        return None if h is None else h.table
+        homs = heyting_hom_search(F, A, mode="injective")
+        return homs[0].table if homs else None
     h = next(_hom_search(F, A, mode="injective"), None)
     return None if h is None else tuple(h.table())
 

@@ -26,7 +26,6 @@ from .finlat import (
     FinitePoset,
     HeytingAlgebra,
     _canonical_key,
-    canonical_key,
     downset_masks,
     downset_heyting,
     poset_from_key,
@@ -248,7 +247,9 @@ def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
 
     Downset algebras of the poset representatives, ordered by size and then
     by canonical key; distinct poset classes give non-isomorphic algebras by
-    Birkhoff duality, so no deduplication is needed.
+    Birkhoff duality, so no deduplication is needed.  Each level of posets
+    comes in key order, and every key on n + 1 points is larger than every
+    key on n points, so a stable sort on size alone gives that order.
 
     Posets are grown one point at a time and pruned by downset count.
     Removing a maximal point x from a poset P loses at least one downset
@@ -264,7 +265,7 @@ def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
             f"max_size {max_size} needs posets of {max_size - 1} points; "
             f"POSET_POINT_CAP is {POSET_POINT_CAP}"
         )
-    found: list[tuple[int, int, HeytingAlgebra]] = []
+    found: list[tuple[int, HeytingAlgebra]] = []
     level = enumerate_posets(0)
     while level:
         bases = []
@@ -273,12 +274,12 @@ def enumerate_heyting(max_size: int) -> list[HeytingAlgebra]:
                 masks = downset_masks(poset, cap=max_size)
             except CapExceeded:
                 continue
-            found.append((len(masks), canonical_key(poset), downset_heyting(poset)))
+            found.append((len(masks), downset_heyting(poset)))
             if len(masks) < max_size:
                 bases.append(poset)
         level = _extensions(bases, level[0].size + 1)
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [alg for _, _, alg in found]
+    found.sort(key=lambda item: item[0])
+    return [alg for _, alg in found]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .catalog import (
     poset_entries,
 )
 from .errors import CapExceeded, InputError, InternalCheckError, ParseError
-from .finlat import HeytingAlgebra
+from .finlat import HeytingAlgebra, validate_heyting
 from .freealg import (
     COORD_CAP,
     ELEMENT_CAP,
@@ -90,8 +90,16 @@ def _modal_input(args) -> ModalAlgebra:
 
 
 def _heyting_input(args) -> HeytingAlgebra:
-    rec = _load_json(args.input)
-    return HeytingAlgebra.from_record(rec)
+    return _heyting_record(_load_json(args.input))
+
+
+def _heyting_record(rec) -> HeytingAlgebra:
+    """A Heyting record from outside, refused unless ``validate_heyting`` passes."""
+    H = HeytingAlgebra.from_record(rec)
+    rep = validate_heyting(H)
+    if not rep.ok:
+        raise InputError(f"invalid Heyting algebra: {rep.malformed or rep.violations}")
+    return H
 
 
 def _any_algebra(path):
@@ -102,7 +110,7 @@ def _any_algebra(path):
     if kind == "modal":
         return ModalAlgebra.from_record(rec)
     if kind == "heyting":
-        return HeytingAlgebra.from_record(rec)
+        return _heyting_record(rec)
     raise InputError(f"unsupported algebra kind {kind!r}")
 
 
@@ -250,7 +258,7 @@ def _cmd_be_check(args) -> int:
         raise InputError("catalog must be a nonempty list of Heyting records")
     K = AlgebraCatalog(
         "heyting",
-        tuple(HeytingAlgebra.from_record(r) for r in members),
+        tuple(_heyting_record(r) for r in members),
         "input",
     )
     M = ModalAlgebra.from_record(doc.get("algebra"))

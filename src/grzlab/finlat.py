@@ -533,115 +533,65 @@ def heyting_hom_search(
     constraints: dict[int, int] | None = None,
     mode: str = "any",
 ) -> list[HeytingHom]:
-    """All Heyting homomorphisms, ordered by their value tables.
+    """All homomorphisms between Heyting algebras, ordered by value table.
 
-    ``constraints`` pins images of particular elements; ``mode`` restricts to
-    injective, surjective, or bijective maps.  The search assigns images in
-    element order with ascending candidate values, so it generates the maps
-    in lexicographic order of the full table, independent of anything but
-    the inputs.
+    By Birkhoff duality each homomorphism f is g⁻¹ for one map g from the
+    target's join-irreducibles to the source's that maps the points below
+    each x onto the points below g(x): f(a) is the element whose
+    join-irreducibles are the x with g(x) <= a.  The search places each
+    point after the points below it and keeps its own stack: no depth
+    limit.  ``constraints`` pins images of elements, which narrows the
+    images of the points; ``mode`` keeps injective, surjective or bijective
+    maps.
     """
-    return list(_heyting_hom_search(source, target, constraints, mode))
-
-
-def _heyting_hom_search(
-    source: HeytingAlgebra,
-    target: HeytingAlgebra,
-    constraints: dict[int, int] | None = None,
-    mode: str = "any",
-) -> Iterator[HeytingHom]:
-    """heyting_hom_search's maps one at a time, lazily, in table order."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}")
-    n1, n2 = source.size, target.size
-    if mode == "iso" and n1 != n2:
-        return
-    forced = {source.bot: target.bot}
-    # A one-element source admits no map into a larger target.
-    if forced.get(source.top, target.top) != target.top:
-        return
-    forced[source.top] = target.top
-    for k, v in (constraints or {}).items():
-        if not (0 <= k < n1 and 0 <= v < n2):
+    smasks, tmasks = derived(source, _irreducible_masks), derived(target, _irreducible_masks)
+    sdown = [smasks[a] for a in join_irreducibles(source)]
+    tdown = [tmasks[b] for b in join_irreducibles(target)]
+    allowed = [range(len(sdown))] * len(tdown)
+    for a, b in (constraints or {}).items():
+        if not (0 <= a < source.size and 0 <= b < target.size):
             raise InputError("constraint indices out of range")
-        if forced.get(k, v) != v:
-            return
-        forced[k] = v
-
-    ops = list(zip(derived(source, _table_lists), derived(target, _table_lists)))
-    deferred = derived(source, _deferred_checks)
-
-    img = [-1] * n1
-    use_count = [0] * n2
-    distinct = 0
-    injective = mode in ("injective", "iso")
-    surjective = mode in ("surjective", "iso")
-
-    def consistent(i: int, v: int) -> bool:
-        img[i] = v
-        try:
-            for t1, t2 in ops:
-                for a in range(i + 1):
-                    r = t1[a][i]
-                    if r <= i and t2[img[a]][v] != img[r]:
-                        return False
-                    r = t1[i][a]
-                    if r <= i and t2[v][img[a]] != img[r]:
-                        return False
-            for oi, a, b in deferred[i]:
-                if ops[oi][1][img[a]][img[b]] != v:
-                    return False
-            return True
-        finally:
-            img[i] = -1
-
-    def search(i: int):
-        nonlocal distinct
-        if i == n1:
-            if not surjective or distinct == n2:
-                yield HeytingHom(source, target, tuple(img))
-            return
-        if surjective and n2 - distinct > n1 - i:
-            return
-        candidates = (forced[i],) if i in forced else range(n2)
-        for v in candidates:
-            if injective and use_count[v]:
-                continue
-            if not consistent(i, v):
-                continue
-            img[i] = v
-            use_count[v] += 1
-            if use_count[v] == 1:
-                distinct += 1
-            yield from search(i + 1)
-            use_count[v] -= 1
-            if use_count[v] == 0:
-                distinct -= 1
-            img[i] = -1
-
-    yield from search(0)
+        # f(a) = b: point x lies below b iff g(x) lies below a
+        allowed = [
+            [y for y in ys if smasks[a] >> y & 1 == tmasks[b] >> x & 1]
+            for x, ys in enumerate(allowed)
+        ]
+    order = sorted(range(len(tdown)), key=lambda x: tdown[x].bit_count())
+    below = [[z for z in order[:i] if tdown[x] >> z & 1] for i, x in enumerate(order)]
+    element = {mask: b for b, mask in enumerate(tmasks)}
+    g, tried, start, tables = [0] * len(order), [], 0, []
+    while True:
+        i = len(tried)  # tried[j]: the position of order[j]'s image in its allowed list
+        if i == len(order):
+            fmasks = [sum(1 << x for x, y in enumerate(g) if a >> y & 1) for a in smasks]
+            tables.append(tuple(map(element.__getitem__, fmasks)))
+        else:
+            x, reach = order[i], 0
+            for z in below[i]:
+                reach |= sdown[g[z]]
+            for k in range(start, len(allowed[x])):
+                y = allowed[x][k]
+                if sdown[y] == reach | 1 << y:  # g maps the points below x onto those below y
+                    g[x] = y
+                    tried.append(k)
+                    break
+        if len(tried) > i:  # point i is placed: go on to point i + 1
+            start = 0
+        elif tried:  # nothing left for point i: try the next image of point i - 1
+            start = tried.pop() + 1
+        else:
+            break
+    injective, surjective = mode in ("injective", "iso"), mode in ("surjective", "iso")
+    homs = [HeytingHom(source, target, table) for table in sorted(tables)]
+    return [h for h in homs if (h.injective or not injective) and (h.surjective or not surjective)]
 
 
-def _table_lists(alg: HeytingAlgebra) -> tuple[list[list[int]], ...]:
-    """The meet, join and imp tables as nested lists, for scalar reads."""
-    return alg.meet.tolist(), alg.join.tolist(), alg.imp.tolist()
-
-
-def _deferred_checks(source: HeytingAlgebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per element r, the (op, a, b) with op(a, b) = r > max(a, b).
-
-    heyting_hom_search checks such a pair when r is assigned, not when its
-    arguments are.  Ops are numbered meet, join, imp.
-    """
-    n = source.size
-    deferred: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for oi, t1 in enumerate(derived(source, _table_lists)):
-        for a in range(n):
-            for b in range(n):
-                r = t1[a][b]
-                if r > max(a, b):
-                    deferred[r].append((oi, a, b))
-    return tuple(tuple(d) for d in deferred)
+def _irreducible_masks(alg: HeytingAlgebra) -> tuple[int, ...]:
+    """Per element a, the mask with bit j set when join_irreducibles[j] <= a."""
+    rows = np.packbits(alg.leq[join_irreducibles(alg)].T, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 def are_isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:

@@ -160,6 +160,38 @@ def test_be_check_both_ways(capsys, tmp_path):
     assert code == 1 and not doc["holds"]
 
 
+def n5_record():
+    """The pentagon lattice 0 < 1 < 2 < 4, 0 < 3 < 4, with imp constant top:
+    not distributive, so not a Heyting algebra."""
+    return {
+        "kind": "heyting",
+        "size": 5,
+        "meet": [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 2, 0, 2], [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]],
+        "join": [[0, 1, 2, 3, 4], [1, 1, 2, 4, 4], [2, 2, 2, 4, 4], [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]],
+        "imp": [[4] * 5 for _ in range(5)],
+        "bot": 0,
+        "top": 4,
+    }
+
+
+def test_build_b_refuses_a_record_that_is_not_heyting(capsys, tmp_path):
+    path = write_json(tmp_path / "n5.json", n5_record())
+    code, out, err = run(capsys, "build-B", "--input", path)
+    assert code == 2 and out == ""
+    assert "invalid Heyting algebra" in err and "residuation" in err
+
+
+def test_be_check_refuses_a_member_that_is_not_heyting(capsys, tmp_path):
+    doc = {
+        "catalog": [chain_heyting(3).to_record(), n5_record()],
+        "algebra": complex_algebra(chain_poset(2)).to_record(),
+    }
+    path = write_json(tmp_path / "in.json", doc)
+    code, out, err = run(capsys, "be-check", "--input", path)
+    assert code == 2 and out == ""
+    assert "invalid Heyting algebra" in err and "internal check" not in err
+
+
 def test_translate(capsys):
     code, doc, _ = run_json(capsys, "translate", "p, p -> q / q")
     assert code == 0

@@ -1,5 +1,6 @@
 """Posets, Heyting tables, homomorphisms, quotients, products."""
 
+import itertools
 import random
 import time
 
@@ -7,8 +8,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from grzlab.catalog import AlgebraCatalog, enumerate_heyting
 from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import (
+    MODES,
     FinitePoset,
     HeytingAlgebra,
     HeytingHom,
@@ -29,6 +32,7 @@ from grzlab.finlat import (
     trivial_heyting,
     validate_heyting,
 )
+from grzlab.freealg import free_algebra
 
 
 def diamond():
@@ -189,6 +193,61 @@ def test_hom_search_modes_and_constraints():
         heyting_hom_search(d, d, constraints={9: 0})
     with pytest.raises(InputError):
         heyting_hom_search(d, d, mode="bogus")
+
+
+def brute_heyting_homs(source, target):
+    """Every value table that HeytingHom.verify passes, in table order."""
+    out = []
+    for table in itertools.product(range(target.size), repeat=source.size):
+        # Only tables that keep bot and top go to verify, which judges the rest.
+        if table[source.bot] != target.bot or table[source.top] != target.top:
+            continue
+        if not HeytingHom(source, target, table).verify():
+            out.append(table)
+    return out
+
+
+def test_hom_search_generates_every_map_in_table_order():
+    rng = random.Random(20261020)
+    algs = enumerate_heyting(5)
+    for A, B in itertools.product(algs, repeat=2):
+        homs = brute_heyting_homs(A, B)
+        for mode in MODES:
+            got = [h.table for h in heyting_hom_search(A, B, mode=mode)]
+            injective = mode in ("injective", "iso")
+            surjective = mode in ("surjective", "iso")
+            assert got == [
+                t
+                for t in homs
+                if (len(set(t)) == A.size or not injective)
+                and (len(set(t)) == B.size or not surjective)
+            ]
+        # Pinned to a value some map takes, where there is one.
+        a = rng.randrange(A.size)
+        b = rng.choice(homs)[a] if homs else rng.randrange(B.size)
+        got = [h.table for h in heyting_hom_search(A, B, constraints={a: b})]
+        assert got == [t for t in homs if t[a] == b]
+
+
+@pytest.mark.parametrize("sizes", [(1100, 2), (2, 1100)])
+def test_hom_search_between_a_deep_chain_and_a_short_one_within_budget(sizes):
+    # The search keeps its own stack, so a 1,099-point dual poset on either
+    # side is not bounded by Python's recursion limit.
+    A, B = (chain_heyting(n) for n in sizes)
+    start = time.perf_counter()
+    homs = heyting_hom_search(A, B)
+    assert time.perf_counter() - start < 3.0
+    assert len(homs) == 1 and homs[0].verify() == []
+
+
+def test_hom_search_out_of_a_342_element_free_algebra_within_budget():
+    F = free_algebra(AlgebraCatalog("heyting", (chain_heyting(4),), "4-chain"), 2).algebra
+    assert F.size == 342
+    C5 = chain_heyting(5)
+    start = time.perf_counter()
+    homs = heyting_hom_search(F, C5)
+    assert time.perf_counter() - start < 0.5
+    assert len(homs) == 25
 
 
 def test_quotient_of_chain():
