@@ -533,7 +533,7 @@ def heyting_hom_search(
     constraints: dict[int, int] | None = None,
     mode: str = "any",
 ) -> list[HeytingHom]:
-    """All homomorphisms between Heyting algebras, ordered by value table.
+    """All homomorphisms between two valid Heyting algebras, by value table.
 
     By Birkhoff duality each homomorphism f is g⁻¹ for one map g from the
     target's join-irreducibles to the source's that maps the points below

@@ -174,9 +174,10 @@ def n5_record():
     }
 
 
-def test_build_b_refuses_a_record_that_is_not_heyting(capsys, tmp_path):
+@pytest.mark.parametrize("verb", [("build-B",), ("eval", "/ p | ~p")])
+def test_heyting_input_is_refused_unless_heyting(capsys, tmp_path, verb):
     path = write_json(tmp_path / "n5.json", n5_record())
-    code, out, err = run(capsys, "build-B", "--input", path)
+    code, out, err = run(capsys, *verb, "--input", path)
     assert code == 2 and out == ""
     assert "invalid Heyting algebra" in err and "residuation" in err
 
