@@ -5,13 +5,12 @@ the join-irreducible poset (B) with the canonical embedding onto its
 opens.  On top of those: the unique-extension property for homomorphisms
 into opens, the two staged algorithms that repair a Boolean subalgebra
 into one generated by opens, the finite reconstruction M ≅ BO(M) for
-Grzegorczyk algebras, and membership tests for the finitely generated
-classes all of this runs over.
+Grzegorczyk algebras, and membership of an algebra in the universal
+class and the quasivariety that a finite catalog generates.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import (
     HeytingAlgebra,
     HeytingHom,
+    _irreducible_masks,
     derived,
     heyting_hom_search,
     join_irreducibles,
@@ -70,30 +70,21 @@ def boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
 
     Concretely the complex algebra of the join-irreducible poset; the
     embedding sends a to the set of join-irreducibles below it and its
-    image is exactly the opens.  B is built once per H; the embedding is a
-    fresh dict on every call.
+    image is exactly the opens.  B and the masks of the embedding
+    (``finlat._irreducible_masks``) are built once per H; the embedding is
+    a fresh dict on every call.
     """
-    B, emb = derived(H, _boolean_extension)
-    return B, dict(emb)
+    B = derived(H, _boolean_extension)
+    return B, dict(enumerate(derived(H, _irreducible_masks)))
 
 
-def _boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
+def _boolean_extension(H: HeytingAlgebra) -> ModalAlgebra:
     poset = join_irreducible_poset(H)
     if poset.size > ATOM_CAP:
         raise CapExceeded(
             f"{poset.size} join-irreducibles exceed the atom cap of {ATOM_CAP}"
         )
-    B = complex_algebra(poset)
-    irr = join_irreducibles(H)
-    leq = H.leq
-    emb = {}
-    for a in range(H.size):
-        mask = 0
-        for j, x in enumerate(irr):
-            if leq[x, a]:
-                mask |= 1 << j
-        emb[a] = mask
-    return B, emb
+    return complex_algebra(poset)
 
 
 def extend_hom(H: HeytingAlgebra, M: ModalAlgebra, f) -> Homomorphism:
@@ -361,16 +352,23 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
 
     With finitely many finite members, ultraproducts are isomorphic to
     members, so the universal class is closed-under-substructure of the
-    members, the quasivariety is separation by homomorphisms into members,
-    and the variety is tested through the bounded free algebra.  The
-    universal mode takes the members in catalog order up to the first one
-    F embeds into; each (F, member) answer is searched once and kept on F
-    (``_first_injection``), and the certificate map is a fresh copy.
+    members and the quasivariety is separation by homomorphisms into
+    members.  The universal mode takes the members in catalog order up to
+    the first one F embeds into; each (F, member) answer is searched once
+    and kept on F (``_first_injection``), and the certificate map is a
+    fresh copy.
+
+    The quasivariety mode makes one pass over the homomorphisms into the
+    members, in member order and then table order, refining the partition
+    of F's elements by their values.  It keeps a homomorphism when it
+    splits a class and stops once every class is a singleton, so the
+    certificate lists at most |F| - 1 maps, and the first listed map that
+    separates a pair is the first of all that does.  If some class keeps
+    two elements, the certificate is the least such pair.
     """
-    if mode not in ("universal", "quasivariety", "variety"):
-        raise InputError("mode must be universal, quasivariety, or variety")
-    heyting = isinstance(F, HeytingAlgebra)
-    if heyting != (K.kind == "heyting"):
+    if mode not in ("universal", "quasivariety"):
+        raise InputError("mode must be universal or quasivariety")
+    if isinstance(F, HeytingAlgebra) != (K.kind == "heyting"):
         raise InputError("algebra and catalog kinds differ")
 
     if mode == "universal":
@@ -384,63 +382,26 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
                 }
         return {"holds": False, "mode": mode, "certificate": None}
 
-    if mode == "quasivariety":
-        all_homs: list[tuple[int, list[int]]] = []
-        for i, A in enumerate(K.members):
-            for table in _homs(F, A):
-                all_homs.append((i, table))
-        witnesses = []
-        for a in range(F.size):
-            for b in range(a + 1, F.size):
-                hit = next(
-                    (
-                        (i, table)
-                        for i, table in all_homs
-                        if table[a] != table[b]
-                    ),
-                    None,
-                )
-                if hit is None:
-                    return {
-                        "holds": False,
-                        "mode": mode,
-                        "certificate": {"unseparated_pair": [a, b]},
-                    }
-                witnesses.append(
-                    {"pair": [a, b], "member": hit[0], "map": hit[1]}
-                )
-        return {"holds": True, "mode": mode, "certificate": witnesses}
-
-    # variety mode: F must be a quotient of the free algebra on |F| generators
-    warnings.warn(
-        "variety membership builds a free algebra on as many generators "
-        "as F has elements; this grows very fast",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    from .freealg import free_algebra
-    from .ulogic import eval_formula
-
-    free = free_algebra(K, F.size)
-    env = {f"x{i}": i for i in range(F.size)}
-    if heyting:
-        table = [
-            eval_formula(F, free.terms[e], env) for e in range(free.algebra.size)
-        ]
-        hom_ok = not HeytingHom(free.algebra, F, tuple(table)).verify()
-        surj = len(set(table)) == F.size
-    else:
-        values = {
-            e: eval_formula(F, free.terms[e], env)
-            for e in range(free.algebra.size)
-        }
-        hom = Homomorphism(free.algebra, F, "modal", values)
-        hom_ok = not hom.verify()
-        surj = hom.surjective
-        table = [values[e] for e in range(free.algebra.size)]
-    holds = hom_ok and surj
-    cert = {"generators": list(range(F.size)), "map": table} if holds else None
-    return {"holds": holds, "mode": mode, "certificate": cert}
+    # labels[a] numbers the class of a in the partition by the kept maps.
+    labels = [0] * F.size
+    count = 1
+    kept = []
+    homs = ((i, table) for i, A in enumerate(K.members) for table in _homs(F, A))
+    for i, table in homs:
+        if count == F.size:
+            break
+        split: dict[tuple[int, int], int] = {}
+        refined = [split.setdefault(key, len(split)) for key in zip(labels, table)]
+        if len(split) > count:
+            labels, count = refined, len(split)
+            kept.append({"member": i, "map": table})
+    if count == F.size:
+        return {"holds": True, "mode": mode, "certificate": kept}
+    classes: dict[int, list[int]] = {}
+    for a, c in enumerate(labels):
+        classes.setdefault(c, []).append(a)
+    pair = min(elems[:2] for elems in classes.values() if len(elems) > 1)
+    return {"holds": False, "mode": mode, "certificate": {"unseparated_pair": pair}}
 
 
 def _per_target(F, build, A):

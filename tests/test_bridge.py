@@ -3,6 +3,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from grzlab.bridge import (
@@ -20,17 +21,25 @@ from grzlab.bridge import (
 from grzlab.catalog import AlgebraCatalog, enumerate_heyting, grz_members, interior_catalog
 from grzlab.errors import CapExceeded, InputError
 from grzlab.finlat import (
+    HeytingAlgebra,
+    HeytingHom,
     antichain_poset,
     are_isomorphic,
     chain_heyting,
     chain_poset,
     downset_heyting,
+    heyting_hom_search,
+    heyting_product,
     trivial_heyting,
+    validate_heyting,
 )
+from grzlab.freealg import free_algebra
 from grzlab.modal import (
     BooleanSubalgebra,
+    Homomorphism,
     complex_algebra,
     generated_subalgebra,
+    hom_search,
     make_standard,
 )
 
@@ -181,31 +190,126 @@ def test_class_membership_universal():
     assert not class_membership(trivial_heyting(), two, "universal")["holds"]
 
 
+def separates(table, a, b):
+    return table[a] != table[b]
+
+
 def test_class_membership_quasivariety():
     two = AlgebraCatalog("heyting", (chain_heyting(2),))
     diamond = downset_heyting(antichain_poset(2))
     res = class_membership(diamond, two, "quasivariety")
     assert res["holds"]
-    pairs = {tuple(w["pair"]) for w in res["certificate"]}
-    assert pairs == {(a, b) for a in range(4) for b in range(a + 1, 4)}
+    maps = [w["map"] for w in res["certificate"]]
+    assert all(w["member"] == 0 for w in res["certificate"])
+    assert all(not HeytingHom(diamond, chain_heyting(2), tuple(t)).verify() for t in maps)
+    pairs = list(itertools.combinations(range(4), 2))
+    assert all(any(separates(t, a, b) for t in maps) for a, b in pairs)
+    for i, t in enumerate(maps):
+        # each listed map separates a pair that no earlier one does
+        assert any(
+            separates(t, a, b) and not any(separates(u, a, b) for u in maps[:i])
+            for a, b in pairs
+        )
 
     res = class_membership(chain_heyting(3), two, "quasivariety")
     assert not res["holds"]
     assert res["certificate"]["unseparated_pair"] == [1, 2]
 
+    # The square of the 3-chain, relabelled so that the unseparated
+    # classes include {0, 8} and {1, 2}: the least pair is (0, 8).
+    square = heyting_product([chain_heyting(3)] * 2)
+    new = np.array([3, 1, 2, 0, 4, 5, 8, 6, 7])
+    old = np.argsort(new)
+    relabelled = HeytingAlgebra(
+        9, *(new[t[np.ix_(old, old)]] for t in (square.meet, square.join, square.imp)),
+        int(new[square.bot]), int(new[square.top]),
+    )
+    assert validate_heyting(relabelled).ok
+    res = class_membership(relabelled, two, "quasivariety")
+    assert res["certificate"] == {"unseparated_pair": [0, 8]}
 
-def test_class_membership_variety_warns():
-    two = AlgebraCatalog("heyting", (chain_heyting(2),))
-    with pytest.warns(RuntimeWarning):
-        res = class_membership(chain_heyting(2), two, "variety")
-    assert res["holds"]
-    assert len(res["certificate"]["map"]) == 16  # free algebra on 2 generators
+    S2 = make_standard("S2")
+    M = complex_algebra(antichain_poset(2))
+    res = class_membership(M, AlgebraCatalog("modal", (S2,)), "quasivariety")
+    assert res["holds"] and res["certificate"]
+    for w in res["certificate"]:
+        assert not Homomorphism(M, S2, "modal", dict(enumerate(w["map"]))).verify()
+
+
+def reference_homs(F, K):
+    """Every (member, table) from F into K, in member order and then table order."""
+    if isinstance(F, HeytingAlgebra):
+        return [(i, list(h.table)) for i, A in enumerate(K.members) for h in heyting_hom_search(F, A)]
+    return [(i, h.table()) for i, A in enumerate(K.members) for h in hom_search(F, A)]
+
+
+def per_pair_membership(homs, n):
+    """The quasivariety check as one scan of the homomorphisms per pair.
+
+    Returns whether every pair of the n elements is separated, the least
+    pair that is not, and for each pair the first homomorphism that
+    separates it.
+    """
+    witnesses = {}
+    for a, b in itertools.combinations(range(n), 2):
+        hit = next((h for h in homs if h[1][a] != h[1][b]), None)
+        if hit is None:
+            return False, [a, b], None
+        witnesses[a, b] = hit
+    return True, None, witnesses
+
+
+def agrees_with_the_per_pair_loop(F, K):
+    res = class_membership(F, K, "quasivariety")
+    homs = reference_homs(F, K)
+    holds, pair, witnesses = per_pair_membership(homs, F.size)
+    assert res["holds"] == holds
+    if not holds:
+        assert res["certificate"] == {"unseparated_pair": pair}
+        return holds
+    listed = [(w["member"], w["map"]) for w in res["certificate"]]
+    for (a, b), hit in witnesses.items():
+        assert next(h for h in listed if h[1][a] != h[1][b]) == hit
+    # the listed maps are the distinct witnesses, in homomorphism order
+    first = {id(h) for h in witnesses.values()}
+    assert listed == [h for h in homs if id(h) in first]
+    assert len(listed) <= F.size - 1
+    return holds
+
+
+def test_quasivariety_agrees_with_the_per_pair_loop_on_free_algebras():
+    # F is the free algebra of S at k; K runs over S and its one-member
+    # parts, the restricted catalogs that admissibility asks about.
+    answers = set()
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(enumerate_heyting(5), r) for r in (1, 2)
+    ):
+        for k in (0, 1, 2):
+            try:
+                F = free_algebra(AlgebraCatalog("heyting", S), k).algebra
+            except CapExceeded:
+                continue
+            for T in [S] + ([S[:1], S[1:]] if len(S) == 2 else []):
+                answers.add(agrees_with_the_per_pair_loop(F, AlgebraCatalog("heyting", T)))
+    assert answers == {True, False}
+
+
+def test_quasivariety_agrees_with_the_per_pair_loop_on_interior_algebras():
+    members = interior_catalog(3).members
+    answers = set()
+    for M in members:
+        for T in itertools.chain(
+            ((A,) for A in members), itertools.combinations(members, 2)
+        ):
+            answers.add(agrees_with_the_per_pair_loop(M, AlgebraCatalog("modal", T)))
+    assert answers == {True, False}
 
 
 def test_class_membership_input_checks():
     two = AlgebraCatalog("heyting", (chain_heyting(2),))
-    with pytest.raises(InputError):
-        class_membership(chain_heyting(2), two, "prevariety")
+    for mode in ("prevariety", "variety"):
+        with pytest.raises(InputError):
+            class_membership(chain_heyting(2), two, mode)
     with pytest.raises(InputError):
         class_membership(make_standard("S2"), two, "universal")
 

@@ -1,6 +1,7 @@
 """Bounded free algebras, admissibility, and the completeness falsifier."""
 
 import itertools
+import json
 import time
 
 import pytest
@@ -160,6 +161,18 @@ def test_weakly_admissible_examples():
 
     with pytest.raises(InputError):
         weakly_admissible_k(K, translate(parse_rule("/ box p", "modal")), 1)
+
+
+def test_weakly_admissible_certificate_within_budget():
+    # The certificate lists each separating homomorphism once: about 11 KB
+    # as JSON for the 342-element free algebra, where one witness map per
+    # pair of elements took 62 MB.
+    K = heyting_catalog(4)
+    start = time.perf_counter()
+    res = weakly_admissible_k(K, translate(parse_rule("p / p", "heyting")), 2)
+    assert time.perf_counter() - start < 1.5
+    assert res["admissible_k"] and res["restricted_members"] == len(K.members)
+    assert len(json.dumps(res["certificate"])) < 64 * 1024
 
 
 def test_completeness_report_clean_class():
