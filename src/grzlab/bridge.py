@@ -70,21 +70,20 @@ def boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
 
     Concretely the complex algebra of the join-irreducible poset; the
     embedding sends a to the set of join-irreducibles below it and its
-    image is exactly the opens.  B and the masks of the embedding
-    (``finlat._irreducible_masks``) are built once per H; the embedding is
-    a fresh dict on every call.
+    image is exactly the opens.  B is built once per H; the embedding is a
+    fresh dict on every call.
     """
-    B = derived(H, _boolean_extension)
-    return B, dict(enumerate(derived(H, _irreducible_masks)))
+    B, emb = derived(H, _boolean_extension)
+    return B, dict(emb)
 
 
-def _boolean_extension(H: HeytingAlgebra) -> ModalAlgebra:
+def _boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
     poset = join_irreducible_poset(H)
     if poset.size > ATOM_CAP:
         raise CapExceeded(
             f"{poset.size} join-irreducibles exceed the atom cap of {ATOM_CAP}"
         )
-    return complex_algebra(poset)
+    return complex_algebra(poset), dict(enumerate(derived(H, _irreducible_masks)))
 
 
 def extend_hom(H: HeytingAlgebra, M: ModalAlgebra, f) -> Homomorphism:
