@@ -566,7 +566,15 @@ def heyting_hom_search(
         i = len(tried)  # tried[j]: the position of order[j]'s image in its allowed list
         if i == len(order):
             fmasks = [sum(1 << x for x, y in enumerate(g) if a >> y & 1) for a in smasks]
-            tables.append(tuple(map(element.__getitem__, fmasks)))
+            try:
+                tables.append(tuple(map(element.__getitem__, fmasks)))
+            except KeyError:  # only a lattice that is not distributive lacks one
+                mask = next(m for m in fmasks if m not in element)
+                points = [b for x, b in enumerate(join_irreducibles(target)) if mask >> x & 1]
+                raise InputError(
+                    "target is not a Heyting algebra: no element has exactly the "
+                    f"join-irreducibles {points} below it, so it is not distributive"
+                ) from None
         else:
             x, reach = order[i], 0
             for z in below[i]:

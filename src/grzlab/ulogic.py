@@ -399,12 +399,13 @@ def _spread(counts, values):
     return np.repeat(np.array(values, dtype=np.int64), counts)
 
 
-def _end_to_end(counts, tables):
-    """The members' tables laid end to end, and each coordinate's offset into
-    them; a single table as it is, with no offset."""
+def _end_to_end(counts, tables, dtype):
+    """The members' tables laid end to end in dtype, and each coordinate's
+    offset into them; a single table as it is, or cast, with no offset."""
     if len(tables) == 1:
-        return tables[0], None
-    return np.concatenate(tables), _spread(counts, _offsets([len(t) for t in tables])[:-1])
+        return tables[0].astype(dtype, copy=False), None
+    offsets = _spread(counts, _offsets([len(t) for t in tables])[:-1])
+    return np.concatenate(tables, dtype=dtype, casting="unsafe"), offsets
 
 
 class HeytingOps:
@@ -415,12 +416,20 @@ class HeytingOps:
     coordinate of member i is entry ``base + x * size + y`` with member
     i's table offset and size.  A single algebra is the one-member case:
     its own tables, no offset, scalar size, bot and top.
+
+    Tables and values are in the narrowest ``dtype`` that holds every
+    index x * size + y of the largest member: uint16 up to size 256, then
+    int32 (int64 past size 46,340).  With values of that dtype and a
+    scalar size the index stays in it, and ``take`` gathers without
+    widening.
     """
 
     def __init__(self, members, counts=(1,)):
-        self.meet_t, self.base = _end_to_end(counts, [A.meet.ravel() for A in members])
-        self.join_t, _ = _end_to_end(counts, [A.join.ravel() for A in members])
-        self.imp_t, _ = _end_to_end(counts, [A.imp.ravel() for A in members])
+        cells = max(A.size for A in members) ** 2
+        self.dtype = np.dtype(np.uint16 if cells <= 1 << 16 else np.int32 if cells < 1 << 31 else np.int64)
+        self.meet_t, self.base = _end_to_end(counts, [A.meet.ravel() for A in members], self.dtype)
+        self.join_t, _ = _end_to_end(counts, [A.join.ravel() for A in members], self.dtype)
+        self.imp_t, _ = _end_to_end(counts, [A.imp.ravel() for A in members], self.dtype)
         self.size = _spread(counts, [A.size for A in members])
         self.bot = _spread(counts, [A.bot for A in members])
         self.top = _spread(counts, [A.top for A in members])
@@ -428,19 +437,19 @@ class HeytingOps:
     # Each op gathers entry x * size + y of its table, past the member's offset.
     def meet(self, x, y):
         i = x * self.size + y
-        return self.meet_t[i] if self.base is None else self.meet_t[i + self.base]
+        return self.meet_t.take(i if self.base is None else i + self.base)
 
     def join(self, x, y):
         i = x * self.size + y
-        return self.join_t[i] if self.base is None else self.join_t[i + self.base]
+        return self.join_t.take(i if self.base is None else i + self.base)
 
     def imp(self, x, y):
         i = x * self.size + y
-        return self.imp_t[i] if self.base is None else self.imp_t[i + self.base]
+        return self.imp_t.take(i if self.base is None else i + self.base)
 
     def neg(self, x):
         i = x * self.size + self.bot
-        return self.imp_t[i] if self.base is None else self.imp_t[i + self.base]
+        return self.imp_t.take(i if self.base is None else i + self.base)
 
     def box(self, x):
         raise InputError("box formula on a heyting algebra")
@@ -450,11 +459,13 @@ class ModalOps:
     """Modal operations on coordinate vectors of atom masks.
 
     Boolean operations are bitwise; box gathers from the members' box
-    tables laid end to end, read at each coordinate's member offset.
+    tables laid end to end, read at each coordinate's member offset.  The
+    table and values are uint8 up to 8 atoms, uint16 above (``dtype``).
     """
 
     def __init__(self, members, counts=(1,)):
-        self.box_t, self.base = _end_to_end(counts, [A.box for A in members])
+        self.dtype = np.dtype(np.uint8 if max(A.atoms for A in members) <= 8 else np.uint16)
+        self.box_t, self.base = _end_to_end(counts, [A.box for A in members], self.dtype)
         self.bot = 0
         self.top = _spread(counts, [A.top for A in members])
 
@@ -471,7 +482,7 @@ class ModalOps:
         return self.top ^ x
 
     def box(self, x):
-        return self.box_t[x] if self.base is None else self.box_t[x + self.base]
+        return self.box_t.take(x if self.base is None else x + self.base)
 
 
 def term_ops(members, counts=(1,)):
@@ -545,14 +556,18 @@ def assignment_layout(owner, nvars: int, stop: int, lo: int, hi: int):
 
 
 def _box_plan(A):
-    """What the sub-box blocks of A's assignments share: A's operation set,
-    the number m of trailing variables, the largest with size**m <=
-    ``_BLOCK``, and their values, each along its own axis."""
+    """What the sub-box blocks of A's assignments share: A's operation set;
+    the cells of a sub-box, as many as ``_BLOCK`` int64 values take in the
+    ops' dtype; the number m of trailing variables, the largest with
+    size**m <= cells; and their values in that dtype, each along its own
+    axis."""
+    ops = term_ops([A])
+    cells = _BLOCK * 8 // ops.dtype.itemsize
     m = 0
-    while A.size ** (m + 1) <= _BLOCK:
+    while A.size ** (m + 1) <= cells:
         m += 1
-    axes = tuple(np.arange(A.size).reshape((A.size,) + (1,) * (m - 1 - v)) for v in range(m))
-    return term_ops([A]), m, axes
+    axes = tuple(np.arange(A.size, dtype=ops.dtype).reshape((A.size,) + (1,) * (m - 1 - v)) for v in range(m))
+    return ops, cells, m, axes
 
 
 def box_layout(A, nvars: int, t: int):
@@ -560,25 +575,26 @@ def box_layout(A, nvars: int, t: int):
     assignments that begins at assignment t, a sub-box of their product.
 
     A has more than ``_BLOCK`` assignments.  The last m variables run over
-    all values (``_box_plan``), the variable before them over
-    ``_BLOCK // size**m`` consecutive values, cut off at its last value,
-    and the leading variables are fixed, as scalars.  Each varying
-    variable's values lie along its own axis of the shape, so numpy
+    all values (``_box_plan``, at most nvars - 1 of them), the variable
+    before them over ``cells // size**m`` consecutive values, cut off at
+    its last value, and the leading variables are fixed, as scalars.  Each
+    varying variable's values lie along its own axis of the shape, so numpy
     broadcasting computes a term only over the axes of its own variables.
     Read in C order, the block is assignments t, t+1, ... in the digit
     order of ``assignment_layout``; t is 0 or where the block before ends.
     """
-    ops, m, axes = derived(A, _box_plan)
+    ops, cells, m, axes = derived(A, _box_plan)
+    m = min(m, nvars - 1)
     size = A.size
     tail = size**m
     lead, first = divmod(t // tail, size)
-    run = min(_BLOCK // tail, size - first)
+    run = min(cells // tail, size - first)
     fixed = []
     for _ in range(nvars - m - 1):
         lead, digit = divmod(lead, size)
         fixed.append(digit)
-    running = np.arange(first, first + run).reshape((run,) + (1,) * m)
-    return ops, (run,) + (size,) * m, (*reversed(fixed), running, *axes)
+    running = np.arange(first, first + run, dtype=ops.dtype).reshape((run,) + (1,) * m)
+    return ops, (run,) + (size,) * m, (*reversed(fixed), running, *axes[len(axes) - m :])
 
 
 def assignment(variables, t: int, size: int) -> dict[str, int]:

@@ -344,6 +344,25 @@ def test_blok_esakia_catalog_check_input_errors():
         blok_esakia_catalog_check(Y, complex_algebra(chain_poset(2)))
 
 
+def test_hom_search_into_a_lattice_that_is_not_distributive():
+    # The pentagon 0 < 1 < 2 < 4, 0 < 3 < 4 with imp constant top, built
+    # without the CLI's check: no element lies above exactly 1 and 3.
+    N5 = HeytingAlgebra(
+        5,
+        [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 2, 0, 2], [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]],
+        [[0, 1, 2, 3, 4], [1, 1, 2, 4, 4], [2, 2, 2, 4, 4], [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]],
+        [[4] * 5 for _ in range(5)],
+        0,
+        4,
+    )
+    message = r"not a Heyting algebra: no element has exactly the join-irreducibles \[1, 3\] below it"
+    for source in chain_heyting(3), N5:
+        with pytest.raises(InputError, match=message):
+            heyting_hom_search(source, N5)
+    with pytest.raises(InputError, match=message):
+        blok_esakia_catalog_check(AlgebraCatalog("heyting", (N5,)), complex_algebra(chain_poset(2)))
+
+
 def test_criterion_8_grid_within_budget():
     # Members rebuilt from their records keep no pairs yet, so the whole
     # grid runs cold even after other tests; about 0.1 s was measured.

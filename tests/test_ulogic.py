@@ -1,6 +1,7 @@
 """Rule language: parsing, printing, evaluation, enumeration."""
 
 import itertools
+import math
 import random
 import time
 from unittest import mock
@@ -438,8 +439,9 @@ def test_catalog_scan_matches_the_per_member_loop():
         nvars = trial % 5  # 0 to 4 variables
         if nvars == 4:  # keep the brute force small
             K = AlgebraCatalog(signature, tuple(A for A in K.members if A.size <= 4) or K.members[:1])
-        # Now and then a member over one block, scanned in sub-boxes: an 11-
-        # or 10-chain at four variables, a 7-point complex algebra at two.
+        # Now and then a member over one block, scanned alone in one
+        # sub-box: an 11- or 10-chain at four variables, a 7-point complex
+        # algebra at two.
         big = {4: chain_heyting(10 + trial % 20 // 10), 7: complex_algebra(random_poset(place, 7))}.get(trial % 10)
         if big is not None:
             at = place.randrange(len(K.members) + 1)
@@ -478,8 +480,8 @@ def two_below_one():
 def lines_through_blocks():
     """A catalog whose first refutation lies past the first block boundary,
     in its third member.  Each 10-chain has more than one block of
-    assignments and is scanned alone in two sub-boxes, q over 0-7 and then
-    over 8-9; no premise holds in the first, so the scan leaves it early."""
+    assignments and is scanned alone in one sub-box of 10,000 uint16
+    cells; no premise holds in it, so the scan leaves it early."""
     chain10, chain3 = chain_heyting(10), chain_heyting(3)
     K = AlgebraCatalog("heyting", (chain10, chain3, two_below_one(), chain10, two_below_one()))
     doc = {"premises": [["q", "top"]], "conclusions": [["(p -> r) | (r -> p)", "top"]]}
@@ -515,12 +517,15 @@ def test_catalog_scan_across_block_boundaries():
 
     # Members over one block are scanned alone, in sub-boxes of their
     # assignment product, with small members before, between and after
-    # them.  At four variables the first variable runs over 0-7 and 8-9 on
-    # the 10-chain, over 0-5 and 6-10 on the 11-chain, and three values at
-    # a time on the 13-chain.  On a 7-point complex algebra (128 elements)
-    # it runs over 0-63 and 64-127 at two variables; at three it is fixed
-    # and the second one runs.  At eight variables on the 5-chain the first
-    # two are fixed and the third runs over 0-1, 2-3 and 4.
+    # them.  A sub-box holds 32,768 uint16 values on a chain and 65,536
+    # uint8 values on a complex algebra of at most 8 atoms.  At four
+    # variables the 10-, 11- and 13-chains fit in one sub-box each, and on
+    # the 14-chain (38,416 assignments) the first variable runs over 0-10
+    # and 11-13.  On a 7-point complex algebra (128 elements) one sub-box
+    # holds all 16,384 assignments at two variables; at three the first
+    # variable runs four values at a time, in 32 sub-boxes.  At eight
+    # variables on the 5-chain the first is fixed and the second runs over
+    # 0-1, 2-3 and 4.
     chains = AlgebraCatalog(
         "heyting",
         (two_below_one(), chain_heyting(10), chain_heyting(2), chain_heyting(11), chain_heyting(11), chain9, two_below_one()),
@@ -528,6 +533,7 @@ def test_catalog_scan_across_block_boundaries():
     seven = complex_algebra(random_poset(random.Random(7), 7))
     frames = AlgebraCatalog("modal", (make_standard("S2"), seven, complex_algebra(random_poset(random.Random(3), 3)), seven, trivial_modal()))
     one_seven = AlgebraCatalog("modal", (make_standard("S2"), seven, trivial_modal()))
+    chains14 = AlgebraCatalog("heyting", (two_below_one(), chain_heyting(14), chain_heyting(3), chain_heyting(14)))
     pqrs, upqr, puqr = ("p", "q", "r", "s"), ("u", "p", "q", "r"), ("p", "u", "q", "r")
     late = {"premises": [["p", "top"]], "conclusions": [["q | ~q", "top"]]}
     cases = [
@@ -562,6 +568,9 @@ def test_catalog_scan_across_block_boundaries():
             {"premises": [["p", "top"], ["q", "bot"]], "conclusions": [["r | ~r", "top"]]},
             ("p", "q", "r", "s", "t", "u", "v", "w"),
         ),
+        (chains14, late, pqrs),  # refuted in the 14-chains' second sub-box
+        (chains14, late, upqr),
+        (chains14, {"conclusions": [["(p & (q | r)) | s", "((p & q) | (p & r)) | s"]]}, pqrs),
     ]
     found = []
     for K, doc, variables in cases:
@@ -575,6 +584,13 @@ def test_catalog_scan_across_block_boundaries():
     assert found[14][1] == (1, {"p": seven.top, "q": seven.top, "r": 2})
     assert found[17] == [(1, {"p": 4, "q": 3, "r": 2, "s": 1})]
     assert found[18] == [(1, {"p": 4, "q": 0, "r": 1, "s": 0, "t": 0, "u": 0, "v": 0, "w": 0})]
+    # The 14-chain and the 7-point complex algebra at three variables
+    # still take several sub-boxes, and their least counterexamples lie
+    # past the first one.
+    assert len(sub_boxes(chain_heyting(14), 4)) == 2 and len(sub_boxes(seven, 3)) == 32
+    assert found[19][1:] == [(1, {"p": 13, "q": 1, "r": 0, "s": 0}), (2, {"p": 2, "q": 1, "r": 0, "s": 0}), (3, {"p": 13, "q": 1, "r": 0, "s": 0})]
+    assert found[20][1] == (1, {"u": 0, "p": 13, "q": 1, "r": 0})
+    assert found[21] == []
     # The brute-force reference, assignment by assignment, on the members
     # over one block where the least counterexample lies in a later block.
     for K, doc, variables in cases[:3]:
@@ -588,6 +604,97 @@ def ulogic_index(cex, variables, size):
     for v in variables:
         idx = idx * size + cex[v]
     return idx
+
+
+def sub_boxes(A, nvars):
+    """The sub-boxes ``box_layout`` scans A's assignments in, in order:
+    (first assignment, shape, ops, variable values) each."""
+    t, boxes = 0, []
+    while t < A.size**nvars:
+        ops, shape, digits = ulogic.box_layout(A, nvars, t)
+        boxes.append((t, shape, ops, digits))
+        t += math.prod(shape)
+    return boxes
+
+
+def test_sub_boxes_hold_one_block_of_bytes_in_the_narrowest_dtype():
+    # Per member and number of variables: the values' dtype and, per
+    # sub-box, how many values of the running variable it takes.
+    seven, eight, nine = (complex_algebra(random_poset(random.Random(n), n)) for n in (7, 8, 9))
+    cases = [
+        (chain_heyting(10), 4, "uint16", [10]),  # fits in one sub-box: m = nvars - 1
+        (chain_heyting(14), 4, "uint16", [11, 3]),
+        (chain_heyting(256), 2, "uint16", [128, 128]),
+        (chain_heyting(257), 2, "int32", [63, 63, 63, 63, 5]),
+        (seven, 2, "uint8", [128]),
+        (seven, 3, "uint8", [4] * 32),
+        (eight, 2, "uint8", [256]),  # 65,536 assignments: exactly one sub-box
+        (nine, 2, "uint16", [64] * 8),
+        (chain_heyting(5), 8, "uint16", [2, 2, 1] * 5),
+    ]
+    for A, nvars, dtype, runs in cases:
+        boxes = sub_boxes(A, nvars)
+        assert [shape[0] for _, shape, _, _ in boxes] == runs
+        for t, shape, ops, digits in boxes:
+            cells = math.prod(shape)
+            assert ops.dtype == dtype and cells * ops.dtype.itemsize <= ulogic._BLOCK * 8
+            assert all(d.dtype == dtype for d in digits if isinstance(d, np.ndarray))
+            # Read in C order, the sub-box is assignments t, t+1, ...
+            index = 0
+            for d in digits:
+                index = index * A.size + np.asarray(d, dtype=np.int64)
+            assert np.array_equal(np.broadcast_to(index, shape).ravel(), np.arange(t, t + cells))
+
+
+def test_scan_on_both_sides_of_each_dtype_switch():
+    """Each case scans a valid identity and a sentence refuted first at
+    p = top, so in a boxed member's last sub-box, against the per-member
+    loop: uint16 and int32 Heyting tables (the 256- and 257-chains),
+    uint8 and uint16 masks (8 and 9 atoms), alone and in catalogs that mix
+    both sides in one flat block (one variable) or in flat blocks and
+    sub-boxes (two variables)."""
+    seven, eight, nine = (complex_algebra(random_poset(random.Random(n), n)) for n in (7, 8, 9))
+    S2, c256, c257 = make_standard("S2"), chain_heyting(256), chain_heyting(257)
+    heyting2 = (
+        {"conclusions": [["p & (p -> q)", "p & q"], ["~(p | q)", "~p & ~q"]]},
+        {"premises": [["p", "top"]], "conclusions": [["q | ~q", "top"]]},
+    )
+    modal2 = (
+        {"conclusions": [["box (p & q)", "box p & box q"], ["box box (p -> q)", "box (p -> q)"]]},
+        {"premises": [["p", "top"]], "conclusions": [["q", "box q"]]},
+    )
+    heyting1 = ({"conclusions": [["~~~p", "~p"]]}, {"premises": [["p", "top"]], "conclusions": [["p", "bot"]]})
+    modal1 = ({"conclusions": [["box box p", "box p"]]}, {"premises": [["p", "top"]], "conclusions": [["p", "bot"]]})
+    cases = [
+        ((c256,), heyting2, 2),
+        ((c257,), heyting2, 2),
+        ((eight,), modal2, 2),
+        ((nine,), modal2, 2),
+        ((chain_heyting(2), chain_heyting(90), c256, chain_heyting(3), c257, two_below_one()), heyting2, 2),
+        ((S2, seven, eight, trivial_modal(), nine, S2), modal2, 2),
+        ((c256, two_below_one(), c257, chain_heyting(2)), heyting1, 1),
+        ((c257, c256), heyting1, 1),
+        ((eight, trivial_modal(), nine, S2), modal1, 1),
+        ((nine, eight), modal1, 1),
+    ]
+    for members, docs, nvars in cases:
+        K = AlgebraCatalog(K_kind(members[0]), members)
+        sents = [sentence_over(K, doc, ("p", "q")[:nvars]) for doc in docs]
+        valid, refuted = (assert_scan_matches(K, sent) for sent in sents)
+        assert valid == []
+        assert {i for i, A in enumerate(members) if A.size > 2} <= {i for i, _ in refuted}
+        for i, cex in refuted:
+            A = members[i]
+            assert cex["p"] == A.top
+            if A.size**nvars > ulogic._BLOCK:
+                assert ulogic_index(cex, sents[1].variables, A.size) >= sub_boxes(A, nvars)[-1][0]
+        # Both sentences in one scan give the same refutations.
+        want = [(1, i, ulogic_index(cex, sents[1].variables, members[i].size)) for i, cex in refuted]
+        assert sorted(ulogic.refutations(K, sents)) == want
+
+
+def K_kind(A):
+    return "modal" if isinstance(A, ModalAlgebra) else "heyting"
 
 
 def test_catalog_scan_cap_order():
