@@ -647,7 +647,7 @@ def test_sub_boxes_hold_one_block_of_bytes_in_the_narrowest_dtype():
 
 
 def test_scan_on_both_sides_of_each_dtype_switch():
-    """Each case scans a valid identity and a sentence refuted first at
+    """Each case scans valid identities and a sentence refuted first at
     p = top, so in a boxed member's last sub-box, against the per-member
     loop: uint16 and int32 Heyting tables (the 256- and 257-chains),
     uint8 and uint16 masks (8 and 9 atoms), alone and in catalogs that mix
@@ -656,11 +656,13 @@ def test_scan_on_both_sides_of_each_dtype_switch():
     seven, eight, nine = (complex_algebra(random_poset(random.Random(n), n)) for n in (7, 8, 9))
     S2, c256, c257 = make_standard("S2"), chain_heyting(256), chain_heyting(257)
     heyting2 = (
-        {"conclusions": [["p & (p -> q)", "p & q"], ["~(p | q)", "~p & ~q"]]},
+        {"conclusions": [["p & (p -> q)", "p & q"]]},
+        {"conclusions": [["~(p | q)", "~p & ~q"]]},
         {"premises": [["p", "top"]], "conclusions": [["q | ~q", "top"]]},
     )
     modal2 = (
-        {"conclusions": [["box (p & q)", "box p & box q"], ["box box (p -> q)", "box (p -> q)"]]},
+        {"conclusions": [["box (p & q)", "box p & box q"]]},
+        {"conclusions": [["box box (p -> q)", "box (p -> q)"]]},
         {"premises": [["p", "top"]], "conclusions": [["q", "box q"]]},
     )
     heyting1 = ({"conclusions": [["~~~p", "~p"]]}, {"premises": [["p", "top"]], "conclusions": [["p", "bot"]]})
@@ -678,23 +680,19 @@ def test_scan_on_both_sides_of_each_dtype_switch():
         ((nine, eight), modal1, 1),
     ]
     for members, docs, nvars in cases:
-        K = AlgebraCatalog(K_kind(members[0]), members)
+        K = AlgebraCatalog("modal" if isinstance(members[0], ModalAlgebra) else "heyting", members)
         sents = [sentence_over(K, doc, ("p", "q")[:nvars]) for doc in docs]
-        valid, refuted = (assert_scan_matches(K, sent) for sent in sents)
-        assert valid == []
+        *valid, refuted = (assert_scan_matches(K, sent) for sent in sents)
+        assert all(v == [] for v in valid)
         assert {i for i, A in enumerate(members) if A.size > 2} <= {i for i, _ in refuted}
         for i, cex in refuted:
             A = members[i]
             assert cex["p"] == A.top
             if A.size**nvars > ulogic._BLOCK:
-                assert ulogic_index(cex, sents[1].variables, A.size) >= sub_boxes(A, nvars)[-1][0]
-        # Both sentences in one scan give the same refutations.
-        want = [(1, i, ulogic_index(cex, sents[1].variables, members[i].size)) for i, cex in refuted]
+                assert ulogic_index(cex, sents[-1].variables, A.size) >= sub_boxes(A, nvars)[-1][0]
+        # The sentences in one scan give the same refutations.
+        want = [(len(sents) - 1, i, ulogic_index(cex, sents[-1].variables, members[i].size)) for i, cex in refuted]
         assert sorted(ulogic.refutations(K, sents)) == want
-
-
-def K_kind(A):
-    return "modal" if isinstance(A, ModalAlgebra) else "heyting"
 
 
 def test_catalog_scan_cap_order():
