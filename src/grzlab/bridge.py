@@ -71,7 +71,9 @@ def boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]:
     Concretely the complex algebra of the join-irreducible poset; the
     embedding sends a to the set of join-irreducibles below it and its
     image is exactly the opens.  B is built once per H; the embedding is a
-    fresh dict on every call.
+    fresh dict on every call.  A lattice whose embedding is not onto the
+    opens, or not one-one, is not a Heyting algebra and is refused
+    (``InputError``).
     """
     B, emb = derived(H, _boolean_extension)
     return B, dict(emb)
@@ -83,7 +85,23 @@ def _boolean_extension(H: HeytingAlgebra) -> tuple[ModalAlgebra, dict[int, int]]
         raise CapExceeded(
             f"{poset.size} join-irreducibles exceed the atom cap of {ATOM_CAP}"
         )
-    return complex_algebra(poset), dict(enumerate(derived(H, _irreducible_masks)))
+    B = complex_algebra(poset)
+    # H is the lattice of downsets of its join-irreducibles, the opens of B,
+    # exactly when a -> the join-irreducibles below a is onto them and one-one.
+    masks = derived(H, _irreducible_masks)
+    opens, known = np.flatnonzero(B.box == np.arange(B.size)).tolist(), set(masks)
+    if len(opens) != H.size or len(known) != H.size:
+        missing = next((m for m in opens if m not in known), None)
+        if missing is not None:
+            points = [b for x, b in enumerate(join_irreducibles(H)) if missing >> x & 1]
+            raise InputError(
+                "not a Heyting algebra: no element has exactly the "
+                f"join-irreducibles {points} below it, so it is not distributive"
+            )
+        raise InputError(
+            f"not a Heyting algebra: {H.size} elements, but {len(opens)} downsets of its join-irreducibles"
+        )
+    return B, dict(enumerate(masks))
 
 
 def extend_hom(H: HeytingAlgebra, M: ModalAlgebra, f) -> Homomorphism:

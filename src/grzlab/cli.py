@@ -329,8 +329,7 @@ def _cmd_admissible(args) -> int:
 def _cmd_completeness_report(args) -> int:
     K = _catalog_from_args(args)
     rules = enumerate_rules(K.kind, args.max_vars, args.max_premises, depth=args.depth)
-    sentences = [translate(r) for r in rules]
-    rep = completeness_report_k(K, sentences, args.k, args.mode)
+    rep = completeness_report_k(K, rules, args.k, args.mode)
     _emit(rep, args)
     return 0 if not rep["violations"] else 1
 

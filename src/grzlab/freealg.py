@@ -21,6 +21,7 @@ from .errors import CapExceeded, InputError, InternalCheckError
 from .finlat import ELEMENT_CAP, HeytingAlgebra, HeytingHom, heyting_hom_search
 from .modal import ATOM_CAP, ModalAlgebra, hom_search
 from .ulogic import (
+    EVAL_CAP,
     And,
     Box,
     Const,
@@ -28,13 +29,16 @@ from .ulogic import (
     Imp,
     Not,
     Or,
+    RuleSpace,
     UniversalSentence,
     Var,
     assignment,
     assignment_layout,
     eval_formula,
     refutations,
+    rule_failures,
     sentence_to_json,
+    translate,
 )
 
 COORD_CAP = 64
@@ -266,7 +270,7 @@ def weakly_admissible_k(K: AlgebraCatalog, v: UniversalSentence, k: int) -> dict
 
 def completeness_report_k(
     K: AlgebraCatalog,
-    candidates: list[UniversalSentence],
+    candidates,
     k: int,
     mode: str = "structural",
 ) -> dict:
@@ -275,10 +279,59 @@ def completeness_report_k(
     structural mode admits only single-conclusion candidates; universal
     mode any.  A violation pairs an admissible sentence with its failure
     in the catalog; for a complete class the list stays empty.
+
+    ``candidates`` is a list of sentences or a ``RuleSpace``, whose rules
+    are read as sentences by ``translate``.  A rule space of the catalog's
+    signature whose members all fit ``EVAL_CAP`` at the pool's variables is
+    judged from the pool's truth rows (``rule_failures``), and only the
+    reported violations are built and scanned for their counterexamples.
+    Any other rule space is translated into a list, which is scanned at
+    once and refused where the list would be.
     """
     if mode not in ("structural", "universal"):
         raise InputError("mode must be 'structural' or 'universal'")
     free = free_algebra(K, k)
+    # Whether a candidate is admissible depends only on the members it
+    # fails on; only a failing candidate can be a violation.
+    admissible: dict[tuple[int, ...], bool] = {}
+
+    def admits(pattern: tuple[int, ...]) -> bool:
+        if pattern not in admissible:
+            kept = tuple(A for i, A in enumerate(K.members) if i not in pattern)
+            restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
+            admissible[pattern] = class_membership(free.algebra, restricted, "quasivariety")["holds"]
+        return admissible[pattern]
+
+    def violation(v: UniversalSentence, i: int, t: int) -> dict:
+        record = sentence_to_json(v)
+        record["failing_member"] = i
+        record["counterexample"] = assignment(v.variables, t, K.members[i].size)
+        return record
+
+    report = {"mode": mode, "k": k, "checked": len(candidates), "violations": []}
+    if isinstance(candidates, RuleSpace):
+        nvars = len(candidates.variables)
+        if candidates.signature == K.kind and all(A.size**nvars <= EVAL_CAP for A in K.members):
+            rows, first, inverse = np.unique(
+                rule_failures(K, candidates), axis=0, return_index=True, return_inverse=True
+            )
+            # The distinct failure patterns in the order the candidates
+            # first show them, each with the first member it fails on.
+            inverse = inverse.ravel()
+            flagged = np.zeros(len(rows), dtype=bool)
+            for r in np.argsort(first).tolist():
+                pattern = tuple(np.flatnonzero(rows[r]).tolist())
+                flagged[r] = bool(pattern) and admits(pattern)
+            for s in np.flatnonzero(flagged[inverse]).tolist():
+                v, want = translate(candidates[s]), int(rows[inverse[s]].argmax())
+                _, i, t = next(refutations(K, (v,)), (s, None, None))
+                if i != want:
+                    raise InternalCheckError(
+                        f"candidate {s} first fails on member {i} in a scan, but on member {want} by the truth rows"
+                    )
+                report["violations"].append(violation(v, i, t))
+            return report
+        candidates = [translate(rule) for rule in candidates]
     # Structural mode refuses the first multi-conclusion candidate, after
     # the candidates before it.
     scanned = len(candidates)
@@ -287,32 +340,13 @@ def completeness_report_k(
     failing: dict[int, list[tuple[int, int]]] = {}
     for s, i, t in refutations(K, candidates[:scanned]):
         failing.setdefault(s, []).append((i, t))
-    # Whether a candidate is admissible depends only on the members it
-    # fails on; only a failing candidate can be a violation.
-    admissible: dict[tuple[int, ...], bool] = {}
-    violations = []
     for s in sorted(failing):
         fails = failing[s]
-        pattern = tuple(i for i, _ in fails)
-        if pattern not in admissible:
-            kept = tuple(A for i, A in enumerate(K.members) if i not in pattern)
-            restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
-            admissible[pattern] = class_membership(free.algebra, restricted, "quasivariety")["holds"]
-        if admissible[pattern]:
-            v = candidates[s]
-            i, t = fails[0]
-            record = sentence_to_json(v)
-            record["failing_member"] = i
-            record["counterexample"] = assignment(v.variables, t, K.members[i].size)
-            violations.append(record)
+        if admits(tuple(i for i, _ in fails)):
+            report["violations"].append(violation(candidates[s], *fails[0]))
     if scanned < len(candidates):
         raise InputError("structural mode admits only single-conclusion candidates")
-    return {
-        "mode": mode,
-        "k": k,
-        "checked": len(candidates),
-        "violations": violations,
-    }
+    return report
 
 
 def sigma_free_checks(K: AlgebraCatalog, k: int) -> dict:

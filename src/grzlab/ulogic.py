@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .finlat import HeytingAlgebra, derived
 from .modal import ModalAlgebra
 
 EVAL_CAP = 10**7
-RULE_CAP = 100_000
+RULE_CAP = RULE_CAP_DEFAULT = 100_000
 
 SIGNATURES = ("heyting", "modal")
 
@@ -902,6 +904,57 @@ def catalog_validates(cat, sent: UniversalSentence, cap: int = EVAL_CAP) -> dict
     return {"valid": True, "failing_member": None, "counterexample": None}
 
 
+def rule_failures(owner, space: RuleSpace):
+    """Which members refute each rule of the space: a bool matrix of rules
+    by members, rules in space order.
+
+    A pool formula's truth row holds, at each coordinate, whether the
+    formula equals top there; the coordinates are every member's
+    assignments to all of the pool's variables, laid end to end as in
+    ``assignment_layout``.  A premise set's row is the AND of its premises'
+    rows.  A rule fails on a member when the member's span has a coordinate
+    where its premise row is set and its conclusion row clear: each
+    coordinate extends an assignment to the rule's own variables, so that
+    is exactly when the member refutes the rule's sentence.  Coordinates
+    are taken in flat blocks, narrower than ``_BLOCK`` so that the premise
+    rows of a block stay near ``_CELLS * 16`` cells, and each member's
+    counts of such coordinates, premise set by conclusion, are one matrix
+    product.  The caller checks the signature and ``EVAL_CAP``.
+    """
+    members = _members(owner)
+    nvars, npool, nsets = len(space.variables), len(space.pool), len(space.premise_sets)
+    starts = _offsets([A.size**nvars for A in members])
+    # Each run of premise sets of one size k, as an (n, k) array of pool indices.
+    sizes, a = [], 0
+    for k, run in itertools.groupby(space.premise_sets, len):
+        b = a + sum(1 for _ in run)
+        sizes.append((a, b, np.array(space.premise_sets[a:b], dtype=np.intp).reshape(b - a, k)))
+        a = b
+    width = max(1, min(_BLOCK, (_CELLS << 4) // nsets))
+    fails = np.zeros((len(members), nsets, npool), dtype=bool)
+    for lo in range(0, starts[-1], width):
+        hi = min(lo + width, starts[-1])
+        ops, digits = assignment_layout(owner, nvars, len(members), lo, hi)
+        env = dict(zip(space.variables, digits))
+        truth = np.empty((npool, hi - lo), dtype=bool)
+        for j, f in enumerate(space.pool):
+            truth[j] = term_values(f, ops, env) == ops.top
+        held = np.empty((nsets, hi - lo), dtype=np.float32)
+        for a, b, idx in sizes:
+            row = np.ones((b - a, hi - lo), dtype=bool)
+            for col in idx.T:
+                row &= truth[col]
+            held[a:b] = row
+        missed = (~truth).astype(np.float32)
+        # Counts stay below 2**24, so float32 products count exactly.
+        i = bisect.bisect_right(starts, lo) - 1
+        while i < len(members) and starts[i] < hi:
+            span = slice(max(lo, starts[i]) - lo, min(hi, starts[i + 1]) - lo)
+            fails[i] |= held[:, span] @ missed[:, span].T > 0
+            i += 1
+    return fails.reshape(len(members), -1).T
+
+
 def eval_formula(algebra, f: Formula, env: dict[str, int]) -> int:
     """One formula under one assignment; env maps variable names to elements."""
     return int(term_values(f, term_ops([algebra]), env))
@@ -933,8 +986,8 @@ def enumerate_formulas(signature: str, variables: tuple[str, ...], depth: int) -
         size = len(pool) + unary * fresh + 3 * (len(pool) ** 2 - older**2)
         if size > RULE_CAP:
             raise CapExceeded(
-                f"{size} formulas at depth {d} requested, RULE_CAP is {RULE_CAP}; "
-                "lower depth or max_vars"
+                f"{size} formulas at depth {d} requested, RULE_CAP is {RULE_CAP} "
+                f"(default {RULE_CAP_DEFAULT}); lower --depth or --max-vars, no flag raises it"
             )
         prev = list(pool)
         for f in prev:
@@ -951,56 +1004,72 @@ def enumerate_formulas(signature: str, variables: tuple[str, ...], depth: int) -
     return pool
 
 
-def enumerate_rules(
-    signature: str,
-    max_vars: int,
-    max_premises: int,
-    depth: int = 1,
-    conclusions: int = 1,
-) -> list[Rule]:
-    """Candidate rules over a bounded formula pool, smallest first.
+class RuleSpace(Sequence):
+    """The candidate rules over a formula pool, as indices into it.
+
+    ``premise_sets`` holds tuples of pool indices; each pool formula is a
+    conclusion.  Rule i has premise set ``premise_sets[i // len(pool)]``
+    and conclusion ``pool[i % len(pool)]``, and is built only when it is
+    asked for.  ``variables`` lists the pool's variables in first-occurrence
+    order; a rule's own ``variables`` merge those of its premises and its
+    conclusion in first-occurrence order.
+    """
+
+    def __init__(self, signature: str, pool: list[Formula], premise_sets: tuple[tuple[int, ...], ...]):
+        self.signature = signature
+        self.pool = tuple(pool)
+        self.premise_sets = premise_sets
+        self._found = []  # each pool formula's variables, found once
+        for f in self.pool:
+            names: list[str] = []
+            formula_vars(f, names)
+            self._found.append(tuple(names))
+        self.variables = tuple(dict.fromkeys(v for names in self._found for v in names))
+
+    def __len__(self) -> int:
+        return len(self.premise_sets) * len(self.pool)
+
+    def __getitem__(self, i: int) -> Rule:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"rule index {i} out of range for {n} rules")
+        return self._rule(*divmod(i % n, len(self.pool)))
+
+    def __iter__(self):
+        for p in range(len(self.premise_sets)):
+            for c in range(len(self.pool)):
+                yield self._rule(p, c)
+
+    def _rule(self, p: int, c: int) -> Rule:
+        idx = self.premise_sets[p]
+        variables = tuple(dict.fromkeys(v for j in (*idx, c) for v in self._found[j]))
+        return Rule(tuple(self.pool[j] for j in idx), (self.pool[c],), self.signature, variables)
+
+
+def enumerate_rules(signature: str, max_vars: int, max_premises: int, depth: int = 1) -> RuleSpace:
+    """Candidate rules over a bounded formula pool, smallest first: every
+    set of at most ``max_premises`` pool formulas, by size and then in
+    ``itertools.combinations`` order, with each pool formula as conclusion.
 
     The pool uses the first ``max_vars`` of the variables p, q, r, s, so
     ``max_vars`` must lie in 1..4.  More than ``RULE_CAP`` candidates are
-    refused before any rule is built.
+    refused before any premise set is listed.
     """
     names = ("p", "q", "r", "s")
     if not 1 <= max_vars <= len(names):
         raise InputError(f"max_vars must lie in 1..{len(names)}, got {max_vars}")
-    names = names[:max_vars]
-    pool = enumerate_formulas(signature, names, depth)
-    premise_sets = sum(math.comb(len(pool), k) for k in range(max_premises + 1))
-    count = premise_sets * math.comb(len(pool), conclusions)
+    pool = enumerate_formulas(signature, names[:max_vars], depth)
+    count = sum(math.comb(len(pool), k) for k in range(max_premises + 1)) * len(pool)
     if count > RULE_CAP:
         raise CapExceeded(
-            f"{count} candidate rules requested, RULE_CAP is {RULE_CAP}; "
-            "lower max_vars, max_premises or depth"
+            f"{count} candidate rules requested, RULE_CAP is {RULE_CAP} (default {RULE_CAP_DEFAULT}); "
+            "lower --max-vars, --max-premises or --depth, no flag raises it"
         )
-    # Each formula's variables are found once.  A rule's variables merge
-    # those of its premises and conclusions in first-occurrence order, once
-    # per premise set and distinct conclusion variables; rules share the
-    # merged tuples and the conclusion tuples.
-    found = []
-    for f in pool:
-        names: list[str] = []
-        formula_vars(f, names)
-        found.append(tuple(names))
-    concl_sets = [
-        (tuple(pool[i] for i in idx), tuple(dict.fromkeys(v for i in idx for v in found[i])))
-        for idx in itertools.combinations(range(len(pool)), conclusions)
-    ]
-    out = []
-    for n_prem in range(max_premises + 1):
-        for idx in itertools.combinations(range(len(pool)), n_prem):
-            prem = tuple(pool[i] for i in idx)
-            prem_vars = tuple(v for i in idx for v in found[i])
-            merged: dict[tuple[str, ...], tuple[str, ...]] = {}
-            for concl, concl_vars in concl_sets:
-                variables = merged.get(concl_vars)
-                if variables is None:
-                    variables = merged[concl_vars] = tuple(dict.fromkeys(prem_vars + concl_vars))
-                out.append(Rule(prem, concl, signature, variables))
-    return out
+    premise_sets = tuple(
+        itertools.chain.from_iterable(itertools.combinations(range(len(pool)), k) for k in range(max_premises + 1))
+    )
+    return RuleSpace(signature, pool, premise_sets)
 
 
 def grz_formula() -> Formula:

@@ -318,8 +318,7 @@ def check_criterion_10() -> tuple[bool, str]:
         return False, f"unique extension fails: {bad[0]}"
 
     rules = enumerate_rules("heyting", max_vars=2, max_premises=2)
-    sentences = [translate(r) for r in rules]
-    report = completeness_report_k(K2, sentences, k=2, mode="structural")
+    report = completeness_report_k(K2, rules, k=2, mode="structural")
     if report["violations"]:
         return False, f"{len(report['violations'])} admissible-but-invalid candidates"
 
@@ -329,7 +328,7 @@ def check_criterion_10() -> tuple[bool, str]:
             return False, f"k={k}: embedding not injective"
         if not res["free_sigma_in_quasivariety"]["holds"]:
             return False, f"k={k}: free extension escapes the quasivariety"
-    return True, f"free size 4, {len(sentences)} candidates, zero violations"
+    return True, f"free size 4, {len(rules)} candidates, zero violations"
 
 
 CHECKS = [

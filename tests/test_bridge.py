@@ -344,10 +344,10 @@ def test_blok_esakia_catalog_check_input_errors():
         blok_esakia_catalog_check(Y, complex_algebra(chain_poset(2)))
 
 
-def test_hom_search_into_a_lattice_that_is_not_distributive():
-    # The pentagon 0 < 1 < 2 < 4, 0 < 3 < 4 with imp constant top, built
-    # without the CLI's check: no element lies above exactly 1 and 3.
-    N5 = HeytingAlgebra(
+def pentagon():
+    """The pentagon 0 < 1 < 2 < 4, 0 < 3 < 4 with imp constant top, built
+    without the CLI's check: no element lies above exactly 1 and 3."""
+    return HeytingAlgebra(
         5,
         [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 2, 0, 2], [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]],
         [[0, 1, 2, 3, 4], [1, 1, 2, 4, 4], [2, 2, 2, 4, 4], [3, 4, 4, 3, 4], [4, 4, 4, 4, 4]],
@@ -355,6 +355,26 @@ def test_hom_search_into_a_lattice_that_is_not_distributive():
         0,
         4,
     )
+
+
+def test_boolean_extension_refuses_a_lattice_that_is_not_distributive():
+    # Its three join-irreducibles 1 < 2 and 3 have six downsets, the opens
+    # of B, but the pentagon has five elements.
+    N5 = pentagon()
+    message = r"not a Heyting algebra: no element has exactly the join-irreducibles \[1, 3\] below it"
+    for _ in range(2):  # a refusal is not kept: the second call checks again
+        with pytest.raises(InputError, match=message):
+            boolean_extension(N5)
+
+
+def test_boolean_extension_accepts_every_heyting_algebra_of_five_elements():
+    for H in enumerate_heyting(5):
+        B, emb = boolean_extension(H)
+        assert sorted(emb.values()) == sorted(B.open_elements())
+
+
+def test_hom_search_into_a_lattice_that_is_not_distributive():
+    N5 = pentagon()
     message = r"not a Heyting algebra: no element has exactly the join-irreducibles \[1, 3\] below it"
     for source in chain_heyting(3), N5:
         with pytest.raises(InputError, match=message):

@@ -322,6 +322,15 @@ def test_completeness_report_refuses_depth_3_before_building_it(capsys, monkeypa
     assert f"RULE_CAP is {ulogic.RULE_CAP}" in err
 
 
+def test_completeness_report_rule_cap_refusal_names_the_flags(capsys):
+    code, out, err = run(capsys, "completeness-report", "--interior", "2", "--k", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: 109860 candidate rules requested, RULE_CAP is 100000 (default 100000); "
+        "lower --max-vars, --max-premises or --depth, no flag raises it\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

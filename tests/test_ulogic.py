@@ -244,6 +244,55 @@ def test_enumerate_rules_counts():
     assert len(enumerate_rules("heyting", 2, 2, depth=1)) == 89432
 
 
+def eager_rules(signature, max_vars, max_premises, depth):
+    """Every candidate rule built at once: each premise set, by size and
+    in combinations order, with each pool formula as conclusion."""
+    pool = enumerate_formulas(signature, ("p", "q", "r", "s")[:max_vars], depth)
+    out = []
+    for n_prem in range(max_premises + 1):
+        for idx in itertools.combinations(range(len(pool)), n_prem):
+            for c in range(len(pool)):
+                out.append(Rule(tuple(pool[i] for i in idx), (pool[c],), signature))
+    return out
+
+
+@pytest.mark.parametrize(
+    "signature, max_vars, max_premises, depth",
+    [("heyting", v, m, d) for v in (1, 2) for m in (0, 1, 2) for d in (0, 1)] + [("modal", 1, 1, 1)],
+)
+def test_rule_space_builds_the_eager_rules(signature, max_vars, max_premises, depth):
+    want = eager_rules(signature, max_vars, max_premises, depth)
+    space = enumerate_rules(signature, max_vars, max_premises, depth)
+    assert len(space) == len(want)
+
+    def same(got, rule):
+        return got == rule and got.variables == rule.variables and got.signature == rule.signature
+
+    assert all(same(got, rule) for got, rule in zip(space, want, strict=True))
+    assert all(same(space[i], rule) for i, rule in enumerate(want))
+    for i in (-1, -2, -len(want)):
+        assert same(space[i], want[i])
+    for i in (len(want), len(want) + 1, -len(want) - 1):
+        with pytest.raises(IndexError):
+            space[i]
+
+
+def test_rule_cap_refusals_name_the_cap_its_default_and_the_flags(monkeypatch):
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_rules("heyting", 3, 2)
+    assert str(exc.value) == (
+        "310760 candidate rules requested, RULE_CAP is 100000 (default 100000); "
+        "lower --max-vars, --max-premises or --depth, no flag raises it"
+    )
+    monkeypatch.setattr(ulogic, "RULE_CAP", 1000)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_formulas("heyting", ("p", "q"), 2)
+    assert str(exc.value) == (
+        "9468 formulas at depth 2 requested, RULE_CAP is 1000 (default 100000); "
+        "lower --depth or --max-vars, no flag raises it"
+    )
+
+
 # ---------------------------------------------------------------------------
 # eval_sentence against a brute-force reference
 
