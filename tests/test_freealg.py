@@ -333,10 +333,15 @@ def test_completeness_report_over_a_rule_space_refuses_where_the_list_does(monke
     assert completeness_report_k(K, rules, 0) == want and want["checked"] == 6
 
 
-MEMBERS = {
-    "heyting": [H for H in heyting_catalog(4).members],
-    "modal": [M for M in interior_catalog(2).members],
-}
+MEMBERS = {"heyting": heyting_catalog(4).members, "modal": interior_catalog(2).members}
+
+
+def refuting_members(K, rules):
+    """The (rule, member) failure matrix that scanning each rule's sentence gives."""
+    want = np.zeros((len(rules), len(K.members)), dtype=bool)
+    for s, i, _ in refutations(K, [translate(r) for r in rules]):
+        want[s, i] = True
+    return want
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,10 +356,16 @@ def test_rule_failures_match_refutations(signature, picks, max_vars, max_premise
     pool = MEMBERS[signature]
     K = AlgebraCatalog(signature, tuple(pool[p % len(pool)] for p in picks))
     rules = enumerate_rules(signature, max_vars, max_premises, depth)
-    want = np.zeros((len(rules), len(K.members)), dtype=bool)
-    for s, i, _ in refutations(K, [translate(r) for r in rules]):
-        want[s, i] = True
-    assert np.array_equal(ulogic.rule_failures(K, rules), want)
+    assert np.array_equal(ulogic.rule_failures(K, rules), refuting_members(K, rules))
+
+
+@pytest.mark.parametrize("K, signature", [(heyting_catalog(5), "heyting"), (interior_catalog(2), "modal")])
+def test_rule_failures_over_blocks_that_split_members(monkeypatch, K, signature):
+    # Blocks of 10 or 11 coordinates, so most members span two or more
+    # blocks and most blocks hold parts of two or more members.
+    rules = enumerate_rules(signature, 2, 1, 1)
+    monkeypatch.setattr(ulogic, "_CELLS", 40)
+    assert np.array_equal(ulogic.rule_failures(K, rules), refuting_members(K, rules))
 
 
 def test_criterion_10_within_budget():
