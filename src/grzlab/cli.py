@@ -320,7 +320,7 @@ def _cmd_free(args) -> int:
 def _cmd_admissible(args) -> int:
     K = _catalog_from_args(args)
     sent = _sentence_from_args(args, K.kind)
-    res = weakly_admissible_k(K, sent, args.k)
+    res = weakly_admissible_k(K, sent, args.k, args.coord_cap, args.element_cap)
     res["sentence"] = sentence_to_json(sent)
     _emit(res, args)
     return 0 if res["admissible_k"] else 1
@@ -329,7 +329,7 @@ def _cmd_admissible(args) -> int:
 def _cmd_completeness_report(args) -> int:
     K = _catalog_from_args(args)
     rules = enumerate_rules(K.kind, args.max_vars, args.max_premises, depth=args.depth)
-    rep = completeness_report_k(K, rules, args.k, args.mode)
+    rep = completeness_report_k(K, rules, args.k, args.mode, args.coord_cap, args.element_cap)
     _emit(rep, args)
     return 0 if not rep["violations"] else 1
 
@@ -479,17 +479,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sentence", help="sentence JSON file instead of rule text")
     sp.add_argument("--cap", type=int, default=EVAL_CAP, help="assignment cap")
 
+    def free_caps(sp):
+        sp.add_argument("--coord-cap", type=int, default=COORD_CAP)
+        sp.add_argument("--element-cap", type=int, default=ELEMENT_CAP)
+
     sp = add("free", _cmd_free, "bounded free algebra over a catalog")
     catalog_source(sp)
     sp.add_argument("--k", type=int, required=True, help="generator count")
-    sp.add_argument("--coord-cap", type=int, default=COORD_CAP)
-    sp.add_argument("--element-cap", type=int, default=ELEMENT_CAP)
+    free_caps(sp)
 
     sp = add("admissible", _cmd_admissible, "bounded weak admissibility of a rule")
     sp.add_argument("rule", nargs="?", help="rule text")
     catalog_source(sp)
     sp.add_argument("--sentence", help="sentence JSON file instead of rule text")
     sp.add_argument("--k", type=int, required=True, help="generator bound")
+    free_caps(sp)
 
     sp = add("completeness-report", _cmd_completeness_report, "admissible-but-invalid candidates")
     catalog_source(sp)
@@ -498,6 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-premises", type=int, default=2)
     sp.add_argument("--depth", type=int, default=1, help="connective depth of candidates")
     sp.add_argument("--mode", choices=("structural", "universal"), default="structural")
+    free_caps(sp)
 
     sp = add("sigma-free", _cmd_sigma_free, "free-algebra checks for the extension passage")
     catalog_source(sp)

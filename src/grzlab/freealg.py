@@ -11,6 +11,7 @@ notion.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ from .ulogic import (
 )
 
 COORD_CAP = 64
+# The three int32 operation tables of a Heyting free algebra at its element
+# cap must fit in this many bytes, so a larger element cap is refused.
+TABLE_BYTES = 1 << 30
 
 # Fixed bounds, raised by no flag: verify_ump takes members of at most
 # UMP_MEMBER_CAP elements, and sigma_free_checks takes k <= SIGMA_K_CAP and
@@ -62,88 +66,261 @@ class FreeAlgebra:
     k: int
 
 
-def _rows_to_keys(rows) -> list[bytes]:
-    """One dictionary key per coordinate row (the last axis)."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    width = 8 * rows.shape[-1]
-    buf = rows.tobytes()
-    return [buf[j : j + width] for j in range(0, len(buf), width)]
+# A block of applied pairs holds at most this many coordinate values.
+_CELLS = 1 << 16
+
+_OPS = {"heyting": (("meet", "join", "imp"), ()), "modal": (("meet", "join"), ("neg", "box"))}
+
+
+class _TypeOps:
+    """Binary and unary operations on rows of local element numbers, one
+    column per coordinate type.
+
+    Each type's local tables are padded to the largest local size m and laid
+    end to end, type by type: m * m entries per binary table, m per unary
+    one.  Values are in the narrowest dtype that holds every index x * m + y,
+    as in ``HeytingOps``.
+    """
+
+    def __init__(self, tables: dict, m: int):
+        self.dtype = np.dtype(np.uint16 if m * m <= 1 << 16 else np.int32)
+        self.tables = {name: t.astype(self.dtype).ravel() for name, t in tables.items()}
+        self.m = m
+        self.unary_base = np.arange(len(next(iter(tables.values())))) * m
+        self.binary_base = self.unary_base * m
+
+    def binary(self, name, x, y):
+        return self.tables[name][(x * self.m + y) + self.binary_base]
+
+    def unary(self, name, x):
+        return self.tables[name][x + self.unary_base]
+
+
+def _cap_message(element_cap: int) -> str:
+    return (
+        f"free algebra closure exceeds {element_cap} elements "
+        f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
+    )
+
+
+def _local_closure(ops, fixed, binary, unary, element_cap: int):
+    """Each coordinate's subalgebra generated by its fixed elements, all
+    coordinates at once.
+
+    Column c of ``lut`` lists coordinate c's subalgebra in the order a
+    fixed closure first meets its elements, padded with elements it
+    already lists; an operation on padding gives a value met at an earlier
+    position, so the padding moves no first meeting.  Returns ``lut``, the
+    values of its entries and of every operation on them (``seq``, ``lut``
+    first) and each column's size.  The free algebra maps onto every such
+    subalgebra, so one of more than ``element_cap`` elements is refused at
+    once.
+    """
+    lut, sizes = fixed, None
+    while True:
+        x, y = lut[:, None], lut[None]
+        seq = np.concatenate(
+            [lut]
+            + [getattr(ops, u)(lut) for u in unary]
+            + [getattr(ops, b)(x, y).reshape(-1, lut.shape[1]) for b in binary],
+            dtype=ops.dtype,
+            casting="unsafe",
+        )
+        order = np.argsort(seq, axis=0, kind="stable")
+        met = np.ones(seq.shape, dtype=bool)
+        ranked = np.take_along_axis(seq, order, axis=0)
+        met[1:] = ranked[1:] != ranked[:-1]
+        count = met.sum(axis=0)
+        if sizes is not None and np.array_equal(count, sizes):
+            return lut, seq, sizes
+        if count.max() > element_cap:
+            raise CapExceeded(_cap_message(element_cap))
+        sizes = count
+        # The first meetings in position order, by a stable argsort of a
+        # mask: np.sort of the positions would map another sort's code on
+        # its first call, about 256 KB of resident memory.
+        first = np.empty_like(met)
+        np.put_along_axis(first, order, met, axis=0)
+        lut = np.take_along_axis(seq, np.argsort(~first, axis=0, kind="stable")[: count.max()], axis=0)
+
+
+def _types(K: AlgebraCatalog, k: int, element_cap: int):
+    """The closure's coordinates reduced to one column per coordinate type.
+
+    Each coordinate's member and assignment generate a subalgebra from bot,
+    top and the k generator values; its elements are numbered in the order
+    ``_local_closure`` first meets them.  Two coordinates have the same
+    type when they have the same local size, the same local numbers of the
+    fixed elements and the same local tables (meet, join, imp; modal ~,
+    box, & and |).  Every term takes the same local number at all
+    coordinates of a type, so a row over the types determines the row over
+    all coordinates and the reverse.  Coordinates are closed in chunks of
+    at most about ``_CELLS * 16`` table entries.  Returns the type ops, the
+    fixed rows (bot, top, generators) over the types, each coordinate's
+    type and ``lut``, whose column c lists coordinate c's subalgebra by
+    local number: at coordinate c, a reduced row R is ``lut[R[type_of[c]], c]``.
+    """
+    ncoords = sum(A.size**k for A in K.members)
+    binary, unary = _OPS[K.kind]
+    size = max(A.size for A in K.members)
+    per = max(1, _CELLS * 16 // (len(binary) * size * size + len(unary) * size + 2 + k))
+    index: dict[bytes, int] = {}
+    found = []  # each type's local size and key
+    type_of = np.empty(ncoords, dtype=np.intp)
+    luts = []
+    for lo in range(0, ncoords, per):
+        hi = min(lo + per, ncoords)
+        ops, digits = assignment_layout(K, k, len(K.members), lo, hi)
+        fixed = np.empty((2 + k, hi - lo), dtype=ops.dtype)
+        fixed[0], fixed[1] = ops.bot, ops.top
+        fixed[2:] = np.reshape(digits, (k, hi - lo))
+        lut, seq, sizes = _local_closure(ops, fixed, binary, unary, element_cap)
+        luts.append(lut)
+        m, cols = len(lut), np.arange(hi - lo)
+        local = np.zeros((hi - lo, int(lut.max()) + 1), dtype=np.int32)
+        for i in reversed(range(m)):
+            local[cols, lut[i]] = i
+        fixed, seq = local[cols, fixed], local[cols, seq[m:]]
+        # Not np.unique: its first call imports numpy.ma, about 1 MB.
+        for z in sorted(set(sizes.tolist())):
+            # A key: the fixed elements' numbers, then each table on the z elements.
+            on = np.flatnonzero(sizes == z)
+            parts = [fixed[:, on]] + [seq[u * m : u * m + z, on] for u in range(len(unary))]
+            for b in range(len(binary)):
+                table = seq[len(unary) * m + b * m * m :][: m * m].reshape(m, m, -1)
+                parts.append(table[:z, :z, on].reshape(z * z, -1))
+            keys = np.ascontiguousarray(np.concatenate(parts).T)
+            void = np.dtype((np.void, keys.shape[1] * keys.itemsize))
+            for c, key, row in zip(on.tolist(), keys.view(void).ravel().tolist(), keys):
+                t = index.setdefault(key, len(found))
+                if t == len(found):
+                    found.append((z, row))
+                type_of[lo + c] = t
+
+    # Each type's tables, padded to the largest local size m.
+    m = max(z for z, _ in found)
+    reduced = np.zeros((2 + k, len(found)), dtype=np.intp)
+    tables = {u: np.zeros((len(found), m), dtype=np.intp) for u in unary}
+    tables.update({b: np.zeros((len(found), m, m), dtype=np.intp) for b in binary})
+    for t, (z, row) in enumerate(found):
+        reduced[:, t], at = row[: 2 + k], 2 + k
+        for u in unary:
+            tables[u][t, :z], at = row[at : at + z], at + z
+        for b in binary:
+            tables[b][t, :z, :z], at = row[at : at + z * z].reshape(z, z), at + z * z
+    ops = _TypeOps(tables, m)
+    lut = np.concatenate([np.pad(part, ((0, m - len(part)), (0, 0))) for part in luts], axis=1)
+    return ops, np.ascontiguousarray(reduced, dtype=ops.dtype), type_of, lut
+
+
+def _blocks(done: int, n0: int, width: int):
+    """Rectangles (c, d, j0, j1) of rows c:d by columns j0:j1 that cover a
+    round's pairs in (i, j) order: rows below ``done`` with columns
+    done:n0, then rows done:n0 with all columns.  Each has at most
+    ``_CELLS // width`` pairs (at least one): runs of whole rows where a
+    row fits, else pieces of one row."""
+    per = max(1, _CELLS // width)
+    for a, b, lo in ((0, done, done), (done, n0, 0)):
+        span = n0 - lo
+        if span <= per:
+            step = per // span
+            for c in range(a, b, step):
+                yield c, min(c + step, b), lo, n0
+        else:
+            for i in range(a, b):
+                for j in range(lo, n0, per):
+                    yield i, i + 1, j, min(j + per, n0)
 
 
 def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     """Semi-naive closure of bot, top and the k generators in the coordinate product.
 
-    The coordinates are all (member, assignment) pairs, member by member,
-    and ``ops`` applies an operation at all of them at once.  Elements are
-    interned in the order of the naive closure, which in every round
-    applies the operations to all pairs of the elements present at its
-    start: Heyting op by op (all meets, then all joins, then all imps),
-    modal element by element (~ and box) and then pair by pair (& and |).
-    Pairs of elements already present a round earlier give only elements
-    interned then, so each round pairs just the new elements with all
-    elements.  Returns the interned row keys and terms, the ops, the
-    element numbers of bot, top and the generators (bot and top are one
-    element in a trivial catalog), and, for a Heyting catalog, the meet,
-    join and imp tables in interning numbers: int32 arrays whose entry
-    [a, b] is the number of op(a, b), each filled as its pair is applied.
+    The coordinates are all (member, assignment) pairs, member by member;
+    the closure runs over one column per coordinate type (``_types``) and
+    rebuilds the full rows once at the end.  Elements are interned in the
+    order of the naive closure, which in every round applies the
+    operations to all pairs of the elements present at its start: Heyting
+    op by op (all meets, then all joins, then all imps), modal element by
+    element (~ and box) and then pair by pair (& and |).  Pairs of elements
+    already present a round earlier give only elements interned then, so
+    each round pairs just the new elements with all elements.  Pairs are
+    applied a block at a time (``_blocks``), and a block's rows are keyed
+    and looked up together.  Returns the full rows, the terms, the element
+    numbers of bot, top and the generators (bot and top are one element in
+    a trivial catalog), and the tables in interning numbers: for a Heyting
+    catalog the meet, join and imp tables, int32 arrays whose entry [a, b]
+    is the number of op(a, b), each filled as its pair is applied; for a
+    modal one the list of each element's box.
     """
-    ncoords = sum(A.size**k for A in K.members)
-    ops, digits = assignment_layout(K, k, len(K.members), 0, ncoords)
-    fixed = np.zeros((2 + k, ncoords), dtype=np.int64)
-    fixed[0] += ops.bot
-    fixed[1] += ops.top
-    fixed[2:] = np.reshape(digits, (k, ncoords))
-
+    ops, fixed, type_of, lut = _types(K, k, element_cap)
+    width = fixed.shape[1]
+    void = np.dtype((np.void, width * ops.dtype.itemsize))
     index: dict[bytes, int] = {}
-    keys: list[bytes] = []
     terms: list[Formula] = []
+    unseen = itertools.repeat(-1)
+    fresh = []  # the rows interned since the round began, a block's at a time
 
-    def intern(rows, make_term) -> list[int]:
-        """The element number of each row, interning the rows not seen yet."""
-        found = _rows_to_keys(rows)
-        numbers = list(map(index.get, found))
-        if None in numbers:
-            for j, key in enumerate(found):
-                if numbers[j] is None:
-                    if key not in index:
-                        if len(keys) == element_cap:
-                            raise CapExceeded(
-                                f"free algebra closure exceeds {element_cap} elements "
-                                f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
-                            )
-                        index[key] = len(keys)
-                        keys.append(key)
-                        terms.append(make_term(j))
-                    numbers[j] = index[key]
+    def intern(rows, make_term):
+        """The element number of each row, interning the rows not seen yet;
+        make_term(r) is the term of row r of the block."""
+        rows = rows.reshape(-1, width)
+        found = rows.view(void).ravel().tolist()
+        numbers = np.fromiter(map(index.get, found, unseen), dtype=np.int32, count=len(found))
+        added = []
+        for r in np.flatnonzero(numbers < 0).tolist():
+            number = index.get(found[r])
+            if number is None:
+                if len(terms) == element_cap:
+                    raise CapExceeded(_cap_message(element_cap))
+                number = index[found[r]] = len(terms)
+                terms.append(make_term(r))
+                added.append(r)
+            numbers[r] = number
+        if added:
+            fresh.append(rows[added])  # a copy, so the block itself is freed
         return numbers
 
-    first = intern(fixed, lambda j: Const("bot") if j == 0 else Const("top") if j == 1 else Var(f"x{j - 2}"))
-    tables = [np.zeros((0, 0), dtype=np.int32) for _ in range(3)] if K.kind == "heyting" else None
+    first = intern(fixed, lambda r: Const("bot") if r == 0 else Const("top") if r == 1 else Var(f"x{r - 2}"))
+    E = np.concatenate(fresh)
+    if K.kind == "heyting":
+        tables = [np.zeros((0, 0), dtype=np.int32) for _ in range(3)]
+    else:
+        tables = [[]]
     done = 0  # every pair of the first `done` elements has been applied
-    while len(keys) > done:
-        n0 = len(keys)
-        E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n0, -1)
+    while len(E) > done:
+        n0 = len(E)
+        fresh.clear()
         if K.kind == "heyting":
-            for t, (op, ctor) in enumerate(((ops.meet, And), (ops.join, Or), (ops.imp, Imp))):
+            for t, (name, ctor) in enumerate((("meet", And), ("join", Or), ("imp", Imp))):
                 table = np.zeros((n0, n0), dtype=np.int32)  # its pages stay unmapped until written
                 table[:done, :done] = tables[t]
                 tables[t] = table
-                for i in range(n0):
-                    lo = done if i < done else 0
-                    rows = op(E[i], E[lo:])
-                    table[i, lo:] = intern(rows, lambda j, i=i, lo=lo, c=ctor: c(terms[i], terms[lo + j]))
+                for c, d, j0, j1 in _blocks(done, n0, width):
+                    span = j1 - j0
+                    table[c:d, j0:j1] = intern(
+                        ops.binary(name, E[c:d, None], E[None, j0:j1]),
+                        lambda r, c=c, j0=j0, span=span, f=ctor: f(terms[c + r // span], terms[j0 + r % span]),
+                    ).reshape(d - c, span)
         else:
-            new = E[done:]
-            intern(
-                np.stack([ops.neg(new), ops.box(new)], axis=1),
-                lambda j, base=done: (Not, Box)[j % 2](terms[base + j // 2]),
-            )
-            for i in range(n0):
-                lo = done if i < done else 0
-                pairs = np.stack([ops.meet(E[i], E[lo:]), ops.join(E[i], E[lo:])], axis=1)
-                intern(pairs, lambda j, i=i, lo=lo: (And, Or)[j % 2](terms[i], terms[lo + j // 2]))
+            step = max(1, _CELLS // (2 * width))
+            for c in range(done, n0, step):
+                new = E[c : c + step]
+                numbers = intern(
+                    np.stack([ops.unary("neg", new), ops.unary("box", new)], axis=1),
+                    lambda r, c=c: (Not, Box)[r % 2](terms[c + r // 2]),
+                )
+                tables[0].extend(numbers[1::2].tolist())
+            for c, d, j0, j1 in _blocks(done, n0, 2 * width):
+                x, y, span = E[c:d, None], E[None, j0:j1], j1 - j0
+                intern(
+                    np.stack([ops.binary("meet", x, y), ops.binary("join", x, y)], axis=2),
+                    lambda r, c=c, j0=j0, span=span: (And, Or)[r % 2](
+                        terms[c + r // 2 // span], terms[j0 + r // 2 % span]
+                    ),
+                )
         done = n0
-    return keys, terms, ops, first, tables
+        E = np.concatenate([E, *fresh])
+    return np.take_along_axis(lut, E[:, type_of], axis=0), terms, first, tables
 
 
 def free_algebra(
@@ -157,14 +334,23 @@ def free_algebra(
     Subalgebra of the product over all (member, assignment) coordinates,
     generated by the k projection tuples; each element carries a defining
     term.  Heyting elements are numbered in sorted tuple order, modal ones
-    by their atom masks.  The Heyting tables are the closure's own, only
-    renumbered: no operation is applied after the closure.  A closure
-    that passes ``element_cap`` elements is refused as soon as it does.
+    by their atom masks.  The Heyting tables and the modal box are the
+    closure's own, only renumbered: no operation is applied after the
+    closure.  A closure that passes ``element_cap`` elements is refused as
+    soon as it does, and an ``element_cap`` whose tables would not fit
+    ``TABLE_BYTES`` at once.
     """
     if not K.members:
         raise InputError("free algebra needs a nonempty catalog")
     if k < 0:
         raise InputError("generator count must be nonnegative")
+    largest = math.isqrt(TABLE_BYTES // 12)
+    if element_cap > largest:
+        raise CapExceeded(
+            f"element cap {element_cap} needs 3 int32 tables of {element_cap}**2 entries, "
+            f"{12 * element_cap**2} bytes, past TABLE_BYTES {TABLE_BYTES}; the largest accepted "
+            f"--element-cap is {largest}, no flag raises TABLE_BYTES"
+        )
     ncoords = sum(A.size**k for A in K.members)
     if ncoords > coord_cap:
         raise CapExceeded(
@@ -172,9 +358,8 @@ def free_algebra(
             f"(COORD_CAP, default {COORD_CAP}); raise --coord-cap or lower k"
         )
 
-    keys, terms, ops, first, tables = _closure(K, k, element_cap)
-    n = len(keys)
-    E = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(n, -1)
+    E, terms, first, tables = _closure(K, k, element_cap)
+    n = len(E)
 
     if K.kind == "heyting":
         order = np.lexsort(E.T[::-1])
@@ -203,14 +388,14 @@ def free_algebra(
         def masks_of(rows):
             out = np.zeros(len(rows), dtype=np.int64)
             for j, atom in enumerate(atom_rows):
-                out |= np.all(ops.meet(rows, atom) == atom, axis=1).astype(np.int64) << j
+                out |= np.all(rows & atom == atom, axis=1).astype(np.int64) << j
             return out
 
         numbering = masks_of(E)
         if len(set(numbering.tolist())) != n:
             raise InternalCheckError("atom decomposition failed to separate elements")
         box = np.zeros(n, dtype=np.int64)
-        box[numbering] = masks_of(ops.box(E))
+        box[numbering] = numbering[tables[0]]
         alg = ModalAlgebra(natoms, box)
     generators = tuple(numbering[first[2:]].tolist())
     term_map = {int(numbering[i]): terms[i] for i in range(n)}
@@ -245,12 +430,19 @@ def verify_ump(free: FreeAlgebra) -> list[str]:
     return out
 
 
-def weakly_admissible_k(K: AlgebraCatalog, v: UniversalSentence, k: int) -> dict:
+def weakly_admissible_k(
+    K: AlgebraCatalog,
+    v: UniversalSentence,
+    k: int,
+    coord_cap: int = COORD_CAP,
+    element_cap: int = ELEMENT_CAP,
+) -> dict:
     """Does adding v change no identities in at most k variables?
 
     Restrict the catalog to members where v holds, then ask whether the
     k-generator free algebra lies in the quasivariety of the rest.  Sound
-    and complete for identities in at most k variables only.
+    and complete for identities in at most k variables only.  The caps
+    bound the free algebra, as in ``free_algebra``.
     """
     expected = "heyting" if K.kind == "heyting" else "modal"
     if v.signature != expected:
@@ -258,7 +450,7 @@ def weakly_admissible_k(K: AlgebraCatalog, v: UniversalSentence, k: int) -> dict
     failing = {i for _, i, _ in refutations(K, (v,))}
     kept = tuple(A for i, A in enumerate(K.members) if i not in failing)
     restricted = AlgebraCatalog(K.kind, kept, f"{K.name}|v")
-    free = free_algebra(K, k)
+    free = free_algebra(K, k, coord_cap, element_cap)
     res = class_membership(free.algebra, restricted, "quasivariety")
     return {
         "admissible_k": res["holds"],
@@ -273,6 +465,8 @@ def completeness_report_k(
     candidates,
     k: int,
     mode: str = "structural",
+    coord_cap: int = COORD_CAP,
+    element_cap: int = ELEMENT_CAP,
 ) -> dict:
     """Falsifier: admissible-but-invalid candidates at bound k.
 
@@ -286,11 +480,12 @@ def completeness_report_k(
     judged from the pool's truth rows (``rule_failures``), and only the
     reported violations are built and scanned for their counterexamples.
     Any other rule space is translated into a list, which is scanned at
-    once and refused where the list would be.
+    once and refused where the list would be.  The caps bound the free
+    algebra, as in ``free_algebra``.
     """
     if mode not in ("structural", "universal"):
         raise InputError("mode must be 'structural' or 'universal'")
-    free = free_algebra(K, k)
+    free = free_algebra(K, k, coord_cap, element_cap)
     # Whether a candidate is admissible depends only on the members it
     # fails on; only a failing candidate can be a violation.
     admissible: dict[tuple[int, ...], bool] = {}

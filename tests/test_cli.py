@@ -1,8 +1,10 @@
 """End-to-end CLI checks through main(argv)."""
 
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import time
 import pytest
 
 import grzlab
+from grzlab import cli
 from grzlab.cli import main
 from grzlab.finlat import chain_heyting, chain_poset, antichain_poset
 from grzlab.modal import complex_algebra
@@ -255,6 +258,43 @@ def test_admissible(capsys):
     code, doc, _ = run_json(capsys, "admissible", "/ bot", "--heyting", "2", "--k", "1")
     assert code == 1 and not doc["admissible_k"]
     assert doc["sentence"]["conclusions"] == [["bot", "top"]]
+
+
+def verb_flags(verb):
+    """The option strings the verb's parser accepts."""
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return set(verbs.choices[verb]._option_string_actions)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("admissible", "p | ~p", "--heyting", "5", "--k", "2"),
+        ("admissible", "p | ~p", "--heyting", "5", "--k", "2", "--coord-cap", "200"),
+        ("admissible", "p | ~p", "--heyting", "3", "--k", "1", "--element-cap", "2000000"),
+        ("completeness-report", "--heyting", "5", "--k", "2"),
+        ("completeness-report", "--heyting", "5", "--k", "2", "--coord-cap", "200"),
+        ("completeness-report", "--heyting", "3", "--k", "1", "--element-cap", "2000000"),
+        ("completeness-report", "--heyting", "3", "--k", "1", "--max-vars", "3"),
+    ],
+)
+def test_refusals_name_flags_their_verb_takes(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    named = set(re.findall(r"--[a-z][a-z-]*", err))
+    assert code == 3 and named
+    assert named <= verb_flags(argv[0])
+
+
+def test_admissible_and_completeness_report_take_the_free_algebra_caps(capsys):
+    # The two-chain's free algebra at k = 2 has 5 coordinates and 16 elements.
+    for verb in (("admissible", "p | ~p"), ("completeness-report",)):
+        code, _, err = run(capsys, *verb, "--heyting", "2", "--k", "2", "--coord-cap", "4")
+        assert code == 3 and "cap is 4 (COORD_CAP" in err
+        code, _, err = run(capsys, *verb, "--heyting", "2", "--k", "2", "--element-cap", "15")
+        assert code == 3 and "exceeds 15 elements (ELEMENT_CAP" in err
+        code, _, _ = run(capsys, *verb, "--heyting", "2", "--k", "2", "--element-cap", "16")
+        assert code in (0, 1)
 
 
 def test_completeness_report(capsys):
