@@ -43,8 +43,9 @@ from .ulogic import (
 )
 
 COORD_CAP = 64
-# The three int32 operation tables of a Heyting free algebra at its element
-# cap must fit in this many bytes, so a larger element cap is refused.
+# An element cap is accepted when 12 bytes per pair of elements at the cap,
+# the three int32 tables of a Heyting free algebra that large, fit in this
+# many bytes; the same bound holds for modal catalogs.
 TABLE_BYTES = 1 << 30
 
 # Fixed bounds, raised by no flag: verify_ump takes members of at most
@@ -69,149 +70,6 @@ class FreeAlgebra:
 # A block of applied pairs holds at most this many coordinate values.
 _CELLS = 1 << 16
 
-_OPS = {"heyting": (("meet", "join", "imp"), ()), "modal": (("meet", "join"), ("neg", "box"))}
-
-
-class _TypeOps:
-    """Binary and unary operations on rows of local element numbers, one
-    column per coordinate type.
-
-    Each type's local tables are padded to the largest local size m and laid
-    end to end, type by type: m * m entries per binary table, m per unary
-    one.  Values are in the narrowest dtype that holds every index x * m + y,
-    as in ``HeytingOps``.
-    """
-
-    def __init__(self, tables: dict, m: int):
-        self.dtype = np.dtype(np.uint16 if m * m <= 1 << 16 else np.int32)
-        self.tables = {name: t.astype(self.dtype).ravel() for name, t in tables.items()}
-        self.m = m
-        self.unary_base = np.arange(len(next(iter(tables.values())))) * m
-        self.binary_base = self.unary_base * m
-
-    def binary(self, name, x, y):
-        return self.tables[name][(x * self.m + y) + self.binary_base]
-
-    def unary(self, name, x):
-        return self.tables[name][x + self.unary_base]
-
-
-def _cap_message(element_cap: int) -> str:
-    return (
-        f"free algebra closure exceeds {element_cap} elements "
-        f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
-    )
-
-
-def _local_closure(ops, fixed, binary, unary, element_cap: int):
-    """Each coordinate's subalgebra generated by its fixed elements, all
-    coordinates at once.
-
-    Column c of ``lut`` lists coordinate c's subalgebra in the order a
-    fixed closure first meets its elements, padded with elements it
-    already lists; an operation on padding gives a value met at an earlier
-    position, so the padding moves no first meeting.  Returns ``lut``, the
-    values of its entries and of every operation on them (``seq``, ``lut``
-    first) and each column's size.  The free algebra maps onto every such
-    subalgebra, so one of more than ``element_cap`` elements is refused at
-    once.
-    """
-    lut, sizes = fixed, None
-    while True:
-        x, y = lut[:, None], lut[None]
-        seq = np.concatenate(
-            [lut]
-            + [getattr(ops, u)(lut) for u in unary]
-            + [getattr(ops, b)(x, y).reshape(-1, lut.shape[1]) for b in binary],
-            dtype=ops.dtype,
-            casting="unsafe",
-        )
-        order = np.argsort(seq, axis=0, kind="stable")
-        met = np.ones(seq.shape, dtype=bool)
-        ranked = np.take_along_axis(seq, order, axis=0)
-        met[1:] = ranked[1:] != ranked[:-1]
-        count = met.sum(axis=0)
-        if sizes is not None and np.array_equal(count, sizes):
-            return lut, seq, sizes
-        if count.max() > element_cap:
-            raise CapExceeded(_cap_message(element_cap))
-        sizes = count
-        # The first meetings in position order, by a stable argsort of a
-        # mask: np.sort of the positions would map another sort's code on
-        # its first call, about 256 KB of resident memory.
-        first = np.empty_like(met)
-        np.put_along_axis(first, order, met, axis=0)
-        lut = np.take_along_axis(seq, np.argsort(~first, axis=0, kind="stable")[: count.max()], axis=0)
-
-
-def _types(K: AlgebraCatalog, k: int, element_cap: int):
-    """The closure's coordinates reduced to one column per coordinate type.
-
-    Each coordinate's member and assignment generate a subalgebra from bot,
-    top and the k generator values; its elements are numbered in the order
-    ``_local_closure`` first meets them.  Two coordinates have the same
-    type when they have the same local size, the same local numbers of the
-    fixed elements and the same local tables (meet, join, imp; modal ~,
-    box, & and |).  Every term takes the same local number at all
-    coordinates of a type, so a row over the types determines the row over
-    all coordinates and the reverse.  Coordinates are closed in chunks of
-    at most about ``_CELLS * 16`` table entries.  Returns the type ops, the
-    fixed rows (bot, top, generators) over the types, each coordinate's
-    type and ``lut``, whose column c lists coordinate c's subalgebra by
-    local number: at coordinate c, a reduced row R is ``lut[R[type_of[c]], c]``.
-    """
-    ncoords = sum(A.size**k for A in K.members)
-    binary, unary = _OPS[K.kind]
-    size = max(A.size for A in K.members)
-    per = max(1, _CELLS * 16 // (len(binary) * size * size + len(unary) * size + 2 + k))
-    index: dict[bytes, int] = {}
-    found = []  # each type's local size and key
-    type_of = np.empty(ncoords, dtype=np.intp)
-    luts = []
-    for lo in range(0, ncoords, per):
-        hi = min(lo + per, ncoords)
-        ops, digits = assignment_layout(K, k, len(K.members), lo, hi)
-        fixed = np.empty((2 + k, hi - lo), dtype=ops.dtype)
-        fixed[0], fixed[1] = ops.bot, ops.top
-        fixed[2:] = np.reshape(digits, (k, hi - lo))
-        lut, seq, sizes = _local_closure(ops, fixed, binary, unary, element_cap)
-        luts.append(lut)
-        m, cols = len(lut), np.arange(hi - lo)
-        local = np.zeros((hi - lo, int(lut.max()) + 1), dtype=np.int32)
-        for i in reversed(range(m)):
-            local[cols, lut[i]] = i
-        fixed, seq = local[cols, fixed], local[cols, seq[m:]]
-        # Not np.unique: its first call imports numpy.ma, about 1 MB.
-        for z in sorted(set(sizes.tolist())):
-            # A key: the fixed elements' numbers, then each table on the z elements.
-            on = np.flatnonzero(sizes == z)
-            parts = [fixed[:, on]] + [seq[u * m : u * m + z, on] for u in range(len(unary))]
-            for b in range(len(binary)):
-                table = seq[len(unary) * m + b * m * m :][: m * m].reshape(m, m, -1)
-                parts.append(table[:z, :z, on].reshape(z * z, -1))
-            keys = np.ascontiguousarray(np.concatenate(parts).T)
-            void = np.dtype((np.void, keys.shape[1] * keys.itemsize))
-            for c, key, row in zip(on.tolist(), keys.view(void).ravel().tolist(), keys):
-                t = index.setdefault(key, len(found))
-                if t == len(found):
-                    found.append((z, row))
-                type_of[lo + c] = t
-
-    # Each type's tables, padded to the largest local size m.
-    m = max(z for z, _ in found)
-    reduced = np.zeros((2 + k, len(found)), dtype=np.intp)
-    tables = {u: np.zeros((len(found), m), dtype=np.intp) for u in unary}
-    tables.update({b: np.zeros((len(found), m, m), dtype=np.intp) for b in binary})
-    for t, (z, row) in enumerate(found):
-        reduced[:, t], at = row[: 2 + k], 2 + k
-        for u in unary:
-            tables[u][t, :z], at = row[at : at + z], at + z
-        for b in binary:
-            tables[b][t, :z, :z], at = row[at : at + z * z].reshape(z, z), at + z * z
-    ops = _TypeOps(tables, m)
-    lut = np.concatenate([np.pad(part, ((0, m - len(part)), (0, 0))) for part in luts], axis=1)
-    return ops, np.ascontiguousarray(reduced, dtype=ops.dtype), type_of, lut
-
 
 def _blocks(done: int, n0: int, width: int):
     """Rectangles (c, d, j0, j1) of rows c:d by columns j0:j1 that cover a
@@ -235,25 +93,28 @@ def _blocks(done: int, n0: int, width: int):
 def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     """Semi-naive closure of bot, top and the k generators in the coordinate product.
 
-    The coordinates are all (member, assignment) pairs, member by member;
-    the closure runs over one column per coordinate type (``_types``) and
-    rebuilds the full rows once at the end.  Elements are interned in the
-    order of the naive closure, which in every round applies the
-    operations to all pairs of the elements present at its start: Heyting
-    op by op (all meets, then all joins, then all imps), modal element by
-    element (~ and box) and then pair by pair (& and |).  Pairs of elements
-    already present a round earlier give only elements interned then, so
-    each round pairs just the new elements with all elements.  Pairs are
-    applied a block at a time (``_blocks``), and a block's rows are keyed
-    and looked up together.  Returns the full rows, the terms, the element
-    numbers of bot, top and the generators (bot and top are one element in
-    a trivial catalog), and the tables in interning numbers: for a Heyting
-    catalog the meet, join and imp tables, int32 arrays whose entry [a, b]
-    is the number of op(a, b), each filled as its pair is applied; for a
-    modal one the list of each element's box.
+    The coordinates are all (member, assignment) pairs, member by member,
+    and ``ops`` applies an operation at all of them at once.  Elements are
+    interned in the order of the naive closure, which in every round
+    applies the operations to all pairs of the elements present at its
+    start: Heyting op by op (all meets, then all joins, then all imps),
+    modal element by element (~ and box) and then pair by pair (& and |).
+    Pairs of elements already present a round earlier give only elements
+    interned then, so each round pairs just the new elements with all
+    elements.  Pairs are applied a block at a time (``_blocks``), and a
+    block's rows are keyed and looked up together.  Returns the rows in
+    the ops' dtype, the terms, the element numbers of bot, top and the
+    generators (bot and top are one element in a trivial catalog), and
+    the tables in interning numbers: for a Heyting catalog the meet, join
+    and imp tables, int32 arrays whose entry [a, b] is the number of
+    op(a, b), each filled as its pair is applied; for a modal one the
+    list of each element's box.
     """
-    ops, fixed, type_of, lut = _types(K, k, element_cap)
-    width = fixed.shape[1]
+    width = sum(A.size**k for A in K.members)
+    ops, digits = assignment_layout(K, k, len(K.members), 0, width)
+    fixed = np.empty((2 + k, width), dtype=ops.dtype)
+    fixed[0], fixed[1] = ops.bot, ops.top
+    fixed[2:] = np.reshape(digits, (k, width))
     void = np.dtype((np.void, width * ops.dtype.itemsize))
     index: dict[bytes, int] = {}
     terms: list[Formula] = []
@@ -263,7 +124,7 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
     def intern(rows, make_term):
         """The element number of each row, interning the rows not seen yet;
         make_term(r) is the term of row r of the block."""
-        rows = rows.reshape(-1, width)
+        rows = rows.astype(ops.dtype, copy=False).reshape(-1, width)
         found = rows.view(void).ravel().tolist()
         numbers = np.fromiter(map(index.get, found, unseen), dtype=np.int32, count=len(found))
         added = []
@@ -271,7 +132,10 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
             number = index.get(found[r])
             if number is None:
                 if len(terms) == element_cap:
-                    raise CapExceeded(_cap_message(element_cap))
+                    raise CapExceeded(
+                        f"free algebra closure exceeds {element_cap} elements "
+                        f"(ELEMENT_CAP, default {ELEMENT_CAP}); raise --element-cap or lower k"
+                    )
                 number = index[found[r]] = len(terms)
                 terms.append(make_term(r))
                 added.append(r)
@@ -291,14 +155,14 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
         n0 = len(E)
         fresh.clear()
         if K.kind == "heyting":
-            for t, (name, ctor) in enumerate((("meet", And), ("join", Or), ("imp", Imp))):
+            for t, (op, ctor) in enumerate(((ops.meet, And), (ops.join, Or), (ops.imp, Imp))):
                 table = np.zeros((n0, n0), dtype=np.int32)  # its pages stay unmapped until written
                 table[:done, :done] = tables[t]
                 tables[t] = table
                 for c, d, j0, j1 in _blocks(done, n0, width):
                     span = j1 - j0
                     table[c:d, j0:j1] = intern(
-                        ops.binary(name, E[c:d, None], E[None, j0:j1]),
+                        op(E[c:d, None], E[None, j0:j1]),
                         lambda r, c=c, j0=j0, span=span, f=ctor: f(terms[c + r // span], terms[j0 + r % span]),
                     ).reshape(d - c, span)
         else:
@@ -306,21 +170,21 @@ def _closure(K: AlgebraCatalog, k: int, element_cap: int):
             for c in range(done, n0, step):
                 new = E[c : c + step]
                 numbers = intern(
-                    np.stack([ops.unary("neg", new), ops.unary("box", new)], axis=1),
+                    np.stack([ops.neg(new), ops.box(new)], axis=1),
                     lambda r, c=c: (Not, Box)[r % 2](terms[c + r // 2]),
                 )
                 tables[0].extend(numbers[1::2].tolist())
             for c, d, j0, j1 in _blocks(done, n0, 2 * width):
                 x, y, span = E[c:d, None], E[None, j0:j1], j1 - j0
                 intern(
-                    np.stack([ops.binary("meet", x, y), ops.binary("join", x, y)], axis=2),
+                    np.stack([ops.meet(x, y), ops.join(x, y)], axis=2),
                     lambda r, c=c, j0=j0, span=span: (And, Or)[r % 2](
                         terms[c + r // 2 // span], terms[j0 + r // 2 % span]
                     ),
                 )
         done = n0
         E = np.concatenate([E, *fresh])
-    return np.take_along_axis(lut, E[:, type_of], axis=0), terms, first, tables
+    return E, terms, first, tables
 
 
 def free_algebra(
@@ -337,8 +201,8 @@ def free_algebra(
     by their atom masks.  The Heyting tables and the modal box are the
     closure's own, only renumbered: no operation is applied after the
     closure.  A closure that passes ``element_cap`` elements is refused as
-    soon as it does, and an ``element_cap`` whose tables would not fit
-    ``TABLE_BYTES`` at once.
+    soon as it does, and an ``element_cap`` past the ``TABLE_BYTES`` bound
+    at once.
     """
     if not K.members:
         raise InputError("free algebra needs a nonempty catalog")
@@ -347,9 +211,9 @@ def free_algebra(
     largest = math.isqrt(TABLE_BYTES // 12)
     if element_cap > largest:
         raise CapExceeded(
-            f"element cap {element_cap} needs 3 int32 tables of {element_cap}**2 entries, "
-            f"{12 * element_cap**2} bytes, past TABLE_BYTES {TABLE_BYTES}; the largest accepted "
-            f"--element-cap is {largest}, no flag raises TABLE_BYTES"
+            f"element cap {element_cap} is past {largest}, the largest accepted --element-cap: "
+            f"12 bytes per pair of elements at the cap must fit TABLE_BYTES ({TABLE_BYTES}), "
+            f"which no flag raises"
         )
     ncoords = sum(A.size**k for A in K.members)
     if ncoords > coord_cap:
