@@ -578,8 +578,8 @@ def test_free_algebra_past_a_raised_coord_cap_within_budget():
 
 def test_free_algebra_cap_ladder_past_the_default_caps():
     # The 24-chain (576 coordinates) and the 91-chain (8,281 coordinates)
-    # at k = 2.  On a 2-CPU x86_64 host they closed in about 0.5 s and 6 s,
-    # where one pair at a time took 2.1 s and 98 s.
+    # at k = 2.  On a 2-CPU x86_64 host they closed in about 0.45 s and 7 s,
+    # where one pair at a time took 2.1 s and 41 s.
     start = time.perf_counter()
     free = free_algebra(AlgebraCatalog("heyting", (chain_heyting(24),)), 2, coord_cap=576)
     assert time.perf_counter() - start < 2.0
