@@ -375,13 +375,8 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
     and kept on F (``_first_injection``), and the certificate map is a
     fresh copy.
 
-    The quasivariety mode makes one pass over the homomorphisms into the
-    members, in member order and then table order, refining the partition
-    of F's elements by their values.  It keeps a homomorphism when it
-    splits a class and stops once every class is a singleton, so the
-    certificate lists at most |F| - 1 maps, and the first listed map that
-    separates a pair is the first of all that does.  If some class keeps
-    two elements, the certificate is the least such pair.
+    The quasivariety mode searches the homomorphisms into the members and
+    passes them to ``separation``.
     """
     if mode not in ("universal", "quasivariety"):
         raise InputError("mode must be universal or quasivariety")
@@ -399,26 +394,38 @@ def class_membership(F, K: AlgebraCatalog, mode: str) -> dict:
                 }
         return {"holds": False, "mode": mode, "certificate": None}
 
+    return separation(F.size, ((i, table) for i, A in enumerate(K.members) for table in _homs(F, A)))
+
+
+def separation(size: int, homs) -> dict:
+    """Quasivariety membership, with certificate, of an algebra of ``size``
+    elements, from its homomorphisms into the members: (member, table)
+    pairs in member order and then table order.  One pass refines the
+    partition of the elements by their values.  It keeps a map that splits
+    a class and stops once every class is a singleton, so the certificate
+    lists at most size - 1 maps, and the first listed map that separates a
+    pair is the first of all that does.  If some class keeps two elements,
+    the certificate is the least such pair.
+    """
     # labels[a] numbers the class of a in the partition by the kept maps.
-    labels = [0] * F.size
+    labels = [0] * size
     count = 1
     kept = []
-    homs = ((i, table) for i, A in enumerate(K.members) for table in _homs(F, A))
     for i, table in homs:
-        if count == F.size:
+        if count == size:
             break
         split: dict[tuple[int, int], int] = {}
         refined = [split.setdefault(key, len(split)) for key in zip(labels, table)]
         if len(split) > count:
             labels, count = refined, len(split)
             kept.append({"member": i, "map": table})
-    if count == F.size:
-        return {"holds": True, "mode": mode, "certificate": kept}
+    if count == size:
+        return {"holds": True, "mode": "quasivariety", "certificate": kept}
     classes: dict[int, list[int]] = {}
     for a, c in enumerate(labels):
         classes.setdefault(c, []).append(a)
     pair = min(elems[:2] for elems in classes.values() if len(elems) > 1)
-    return {"holds": False, "mode": mode, "certificate": {"unseparated_pair": pair}}
+    return {"holds": False, "mode": "quasivariety", "certificate": {"unseparated_pair": pair}}
 
 
 def _per_target(F, build, A):

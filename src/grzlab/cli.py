@@ -338,7 +338,7 @@ def _cmd_sigma_free(args) -> int:
     K = _catalog_from_args(args)
     res = sigma_free_checks(K, args.k)
     _emit(res, args)
-    ok = res["embedding"]["injective"] and res["free_sigma_in_quasivariety"]["holds"]
+    ok = res["embedding"]["injective"] and res["free_sigma_opens_in_quasivariety"]["holds"]
     return 0 if ok else 1
 
 

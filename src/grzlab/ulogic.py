@@ -930,7 +930,7 @@ def rule_failures(owner, space: RuleSpace):
         b = a + sum(1 for _ in run)
         sizes.append((a, b, np.array(space.premise_sets[a:b], dtype=np.intp).reshape(b - a, k)))
         a = b
-    width = max(1, min(_BLOCK, (_CELLS << 4) // nsets))
+    width = max(1, min(_BLOCK, (_CELLS << 4) // max(1, nsets)))
     fails = np.zeros((len(members), nsets, npool), dtype=bool)
     for lo in range(0, starts[-1], width):
         hi = min(lo + width, starts[-1])

@@ -326,8 +326,8 @@ def check_criterion_10() -> tuple[bool, str]:
         res = sigma_free_checks(K2, k)
         if not res["embedding"]["injective"]:
             return False, f"k={k}: embedding not injective"
-        if not res["free_sigma_in_quasivariety"]["holds"]:
-            return False, f"k={k}: free extension escapes the quasivariety"
+        if not res["free_sigma_opens_in_quasivariety"]["holds"]:
+            return False, f"k={k}: the opens of the free extension escape the quasivariety"
     return True, f"free size 4, {len(rules)} candidates, zero violations"
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main(argv)."""
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -260,6 +261,14 @@ def test_admissible(capsys):
     assert doc["sentence"]["conclusions"] == [["bot", "top"]]
 
 
+def test_admissible_certificate_bytes(capsys):
+    # The SHA-1 of the output as the homomorphism search gave it: reading
+    # the maps off the free algebra's coordinates keeps every byte.
+    code, out, _ = run(capsys, "admissible", "p / p", "--heyting", "4", "--k", "2", "--json")
+    assert code == 0 and len(out) == 11696
+    assert hashlib.sha1(out.encode()).hexdigest() == "ab6859198da689f068c06e4071eb40f987d7d045"
+
+
 def verb_flags(verb):
     """The option strings the verb's parser accepts."""
     parser = cli._build_parser()
@@ -409,7 +418,11 @@ def test_sigma_free(capsys):
     code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "2", "--k", "1")
     assert code == 0
     assert doc["embedding"]["injective"]
-    assert doc["free_sigma_in_quasivariety"]["holds"]
+    assert doc["free_sigma_opens_in_quasivariety"]["holds"]
+    # The 4-chain's free algebra at k = 1 is the case that tells O(F_sigmaK)
+    # in Q(K) apart from F_sigmaK in Q(B(F_K)), which fails there.
+    code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "4", "--k", "1")
+    assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
     code, _, _ = run(capsys, "sigma-free", "--heyting", "5", "--k", "1")
     assert code == 3
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grzlab import freealg, ulogic
+from grzlab import bridge, freealg, ulogic
 from grzlab.bridge import class_membership
 from grzlab.catalog import AlgebraCatalog, enumerate_heyting, heyting_catalog, interior_catalog
 from grzlab.errors import CapExceeded, GrzlabError, InputError, InternalCheckError
@@ -178,6 +178,48 @@ def test_weakly_admissible_certificate_within_budget():
     assert len(json.dumps(res["certificate"])) < 64 * 1024
 
 
+def restrictions(r):
+    """Every subset of range(r), the empty one included."""
+    return itertools.chain.from_iterable(itertools.combinations(range(r), n) for n in range(r + 1))
+
+
+@pytest.mark.parametrize(
+    "K, k",
+    [(heyting_catalog(4), 1), (heyting_catalog(4), 2), (heyting_catalog(5), 1), (interior_catalog(2), 1)],
+    ids=["heyting4-k1", "heyting4-k2", "heyting5-k1", "interior2-k1"],
+)
+def test_quasivariety_from_the_projections_matches_the_search(K, k):
+    # Every 1- to 3-member subcatalog against each of its restrictions:
+    # 966 pairs over the four cases.  The projection columns must give the
+    # search's verdict and certificate to the byte.
+    for r in (1, 2, 3):
+        for sub in itertools.combinations(K.members, r):
+            free = free_algebra(AlgebraCatalog(K.kind, sub), k)
+            for kept in restrictions(r):
+                want = class_membership(free.algebra, AlgebraCatalog(K.kind, tuple(sub[i] for i in kept)), "quasivariety")
+                assert json.dumps(freealg._in_quasivariety(free, list(kept))) == json.dumps(want)
+
+
+def test_admissibility_runs_no_hom_search(monkeypatch):
+    K, I = goedel_catalog(), interior_catalog(2)
+    rules = enumerate_rules("heyting", 1, 0, 2)
+    modal_rules = [translate(r) for r in enumerate_rules("modal", 1, 0, 2)]
+    want = report_one_at_a_time(K, [translate(r) for r in rules], 0)
+    want_modal = report_one_at_a_time(I, modal_rules, 0, "universal")
+    assert want["violations"] and want_modal["violations"]
+
+    def no_search(F, A):
+        raise AssertionError("a homomorphism search ran")
+
+    monkeypatch.setattr(bridge, "_homs", no_search)
+    assert not weakly_admissible_k(K, translate(parse_rule("/ p | ~p", "heyting")), 1)["admissible_k"]
+    assert weakly_admissible_k(heyting_catalog(4), translate(parse_rule("p / p", "heyting")), 2)["admissible_k"]
+    assert weakly_admissible_k(I, translate(parse_rule("box p / p", "modal")), 1)["admissible_k"]
+    assert completeness_report_k(K, rules, 0) == want
+    assert completeness_report_k(K, [translate(r) for r in rules], 0) == want
+    assert completeness_report_k(I, modal_rules, 0, "universal") == want_modal
+
+
 def test_completeness_report_clean_class():
     from grzlab.ulogic import enumerate_rules
 
@@ -334,6 +376,34 @@ def test_completeness_report_over_a_rule_space_refuses_where_the_list_does(monke
     assert completeness_report_k(K, rules, 0) == want and want["checked"] == 6
 
 
+def test_completeness_report_on_no_candidates_and_on_one_that_fails_everywhere():
+    K = goedel_catalog()
+    pool = [ulogic.parse_formula("bot", "heyting"), ulogic.parse_formula("p | ~p", "heyting")]
+    assert {i for _, i, _ in refutations(K, [translate(parse_rule("/ bot", "heyting"))])} == {0, 1}
+    for premise_sets in ((), ((),)):
+        space = ulogic.RuleSpace("heyting", pool, premise_sets)
+        sentences = [translate(r) for r in space]
+        for mode in ("structural", "universal"):
+            want = report_one_at_a_time(K, sentences, 0, mode)
+            assert json.dumps(completeness_report_k(K, sentences, 0, mode)) == json.dumps(want)
+            assert json.dumps(completeness_report_k(K, space, 0, mode)) == json.dumps(want)
+            assert want["checked"] == len(space)
+    # "/ bot" keeps no member, and F_K(0) has two elements, so only excluded
+    # middle is reported.
+    assert [v["conclusions"] for v in want["violations"]] == [[["p | ~p", "top"]]]
+
+
+def test_completeness_report_refuses_a_scan_past_its_cap_before_a_later_multi_conclusion_candidate():
+    K = goedel_catalog()
+    multi = translate(parse_rule("/ p, ~p", "heyting"))
+    # 2**24 assignments on the two-chain, past EVAL_CAP.
+    wide = UniversalSentence((), ((Var("p"), Const("top")),), "heyting", ("p",) + tuple(f"x{i}" for i in range(23)))
+    with pytest.raises(CapExceeded, match="sentence needs 16777216 assignments"):
+        completeness_report_k(K, [wide, multi], 0)
+    with pytest.raises(InputError, match="structural mode admits only single-conclusion candidates"):
+        completeness_report_k(K, [multi, wide], 0)
+
+
 MEMBERS = {"heyting": heyting_catalog(4).members, "modal": interior_catalog(2).members}
 
 
@@ -385,8 +455,19 @@ def test_sigma_free_checks_small():
         res = sigma_free_checks(K, k)
         assert res["k_bounded"] and res["k"] == k
         assert res["embedding"]["injective"]
-        assert res["free_sigma_in_quasivariety"]["holds"]
+        assert res["free_sigma_opens_in_quasivariety"]["holds"]
     assert len(sigma_free_checks(K, 1)["embedding"]["map"]) == 4
+
+
+def test_sigma_free_checks_place_the_opens_in_the_quasivariety():
+    # The 4-chain embeds into the 16 opens of F_sigmaK(1), so F_sigmaK(1)
+    # does not lie in the quasivariety of B(F_K(1)), F_K(1) having only six
+    # elements; its opens do lie in the quasivariety of K.
+    for K in (AlgebraCatalog("heyting", (chain_heyting(4),)), heyting_catalog(4)):
+        res = sigma_free_checks(K, 1)
+        assert res["embedding"]["injective"]
+        assert res["free_sigma_opens_in_quasivariety"]["holds"]
+    assert {len(h["map"]) for h in res["free_sigma_opens_in_quasivariety"]["certificate"]} == {16}
 
 
 def test_sigma_free_checks_caps():
