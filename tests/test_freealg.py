@@ -450,9 +450,10 @@ def test_sigma_free_checks_small():
 
 
 def test_sigma_free_checks_place_the_opens_in_the_quasivariety():
-    # The 4-chain embeds into the 16 opens of F_sigmaK(1), so F_sigmaK(1)
-    # does not lie in the quasivariety of B(F_K(1)), F_K(1) having only six
-    # elements; its opens do lie in the quasivariety of K.
+    # For K the 4-chain, F_K(1) (six elements) lies in the variety of the
+    # 3-chain, while the 4-chain embeds into the 16 opens of F_sigmaK(1); so
+    # F_sigmaK(1) does not lie in the quasivariety of B(F_K(1)), but its
+    # opens lie in the quasivariety of K.
     for K in (AlgebraCatalog("heyting", (chain_heyting(4),)), heyting_catalog(4)):
         res = sigma_free_checks(K, 1)
         assert res["embedding"]["injective"]
