@@ -336,7 +336,7 @@ def _cmd_completeness_report(args) -> int:
 
 def _cmd_sigma_free(args) -> int:
     K = _catalog_from_args(args)
-    res = sigma_free_checks(K, args.k)
+    res = sigma_free_checks(K, args.k, args.coord_cap, args.element_cap)
     _emit(res, args)
     ok = res["embedding"]["injective"] and res["free_sigma_opens_in_quasivariety"]["holds"]
     return 0 if ok else 1
@@ -507,6 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("sigma-free", _cmd_sigma_free, "free-algebra checks for the extension passage")
     catalog_source(sp)
     sp.add_argument("--k", type=int, required=True, help="generator bound")
+    free_caps(sp)
 
     sp = add("enumerate", _cmd_enumerate, "catalog enumeration with counts")
     sp.add_argument("--what", choices=("posets", "topologies", "heyting"), required=True)

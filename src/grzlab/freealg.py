@@ -398,20 +398,27 @@ def completeness_report_k(
         _, i, t = next(refutations(K, (v,)), (s, None, None))
         if i != want:
             raise InternalCheckError(
-                f"candidate {s} first fails on member {i} in a scan, but on member {want} by the truth rows"
+                f"candidate {s} first fails on member {i} in a scan, but on member {want} "
+                f"{'by the truth rows' if space else 'by the batched scan'}"
             )
         counterexample = assignment(v.variables, t, K.members[i].size)
         report["violations"].append({**sentence_to_json(v), "failing_member": i, "counterexample": counterexample})
     return report
 
 
-def sigma_free_checks(K: AlgebraCatalog, k: int) -> dict:
+def sigma_free_checks(
+    K: AlgebraCatalog,
+    k: int,
+    coord_cap: int = COORD_CAP,
+    element_cap: int = ELEMENT_CAP,
+) -> dict:
     """Free-algebra side of the passage to interior algebras, at bound k.
 
     Builds F over K and F_sigma over the extended catalog, embeds B(F)
     into F_sigma along v -> box v, and places the opens of F_sigma in the
     quasivariety of K, where opens take the extended catalog's.  Both
-    certified; both k-bounded statements.
+    certified; both k-bounded statements.  The caps bound both free
+    algebras, as in ``free_algebra``.
     """
     if K.kind != "heyting":
         raise InputError("sigma_free_checks expects a Heyting catalog")
@@ -424,8 +431,8 @@ def sigma_free_checks(K: AlgebraCatalog, k: int) -> dict:
             f"members must have at most {SIGMA_SIZE_CAP} elements (SIGMA_SIZE_CAP); no flag raises it"
         )
 
-    free = free_algebra(K, k)
-    free_sigma = free_algebra(sigma_catalog(K), k)
+    free = free_algebra(K, k, coord_cap, element_cap)
+    free_sigma = free_algebra(sigma_catalog(K), k, coord_cap, element_cap)
 
     O_alg, opens = open_algebra(free_sigma.algebra)
     index = {m: i for i, m in enumerate(opens)}

@@ -12,15 +12,22 @@ import numpy as np
 # K axiom scan: first pair (a, b) with box(a & b) != box(a) & box(b)
 
 
+# Cells one numpy comparison of the K scan covers: a block of rows of the
+# (a, b) table, at least one row.
+K_BLOCK_CELLS = 8192
+
+
 def k_axiom_witness(box: np.ndarray) -> int:
     """Least (a, b) with box(a∧b) ≠ box(a)∧box(b), packed as a*size+b; -1 if none."""
     box = np.ascontiguousarray(box, dtype=np.int64)
     size = box.shape[0]
     idx = np.arange(size, dtype=np.int64)
-    for a in range(size):
-        bad = np.nonzero(box[a & idx] != (box[a] & box))[0]
+    rows = max(1, K_BLOCK_CELLS // size)
+    for start in range(0, size, rows):
+        a = idx[start : start + rows, None]
+        bad = np.flatnonzero(box[a & idx] != (box[a] & box))
         if bad.size:
-            return int(a * size + bad[0])
+            return int(start * size + bad[0])
     return -1
 
 

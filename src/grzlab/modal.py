@@ -822,24 +822,43 @@ class BlokWitness:
         return out
 
 
+# S2's and S12's box tables under every relabelling of their atoms, by atom
+# count: the algebra on the atoms taken in each order.
+_STANDARD_TABLES = {
+    std.atoms: frozenset(
+        tuple(_on_blocks(std, [1 << j for j in order]).box.tolist())
+        for order in itertools.permutations(range(std.atoms))
+    )
+    for std in (make_standard("S2"), make_standard("S12"))
+}
+
+
 def _standard_in_one_generated(alg: ModalAlgebra) -> bool:
     """Whether some ⟨a⟩ has a quotient isomorphic to S2 or S12.
 
     The quotient of ⟨a⟩ by the open filter above an open u is ⟨a⟩ relative
     to u (box(x ∧ u) = box x ∧ u), the algebra on the blocks of ⟨a⟩ under
     u; only the opens of two or three blocks can give a standard algebra.
+    Its box table over those blocks is read off in plain ints and looked up
+    among the standard tables under every relabelling of their atoms.
+    Since ⟨a⟩ = ⟨¬a⟩, only the a without the top atom are visited.
     """
-    standards = (make_standard("S2"), make_standard("S12"))
+    box = alg.box.tolist()
     seen = set()
-    for a in range(alg.size):
+    for a in range(alg.size >> 1):
         sub = generated_subalgebra(alg, [a], "modal")
         if sub.blocks in seen:
             continue
         seen.add(sub.blocks)
-        for std in standards:
-            for part in itertools.combinations(sub.blocks, std.atoms):
+        for k, tables in _STANDARD_TABLES.items():
+            for part in itertools.combinations(sub.blocks, k):
                 u = sum(part)  # the blocks are disjoint
-                if alg.is_open(u) and are_isomorphic(_on_blocks(alg, part), std):
+                if box[u] != u:
+                    continue
+                elems = [0]
+                for b in part:
+                    elems += [e | b for e in elems]
+                if tuple(_encode(box[e], part) for e in elems) in tables:
                     return True
     return False
 

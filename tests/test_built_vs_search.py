@@ -29,13 +29,17 @@ from grzlab.catalog import (
     interior_catalog,
 )
 from grzlab.finlat import FinitePoset, chain_poset, heyting_hom_search
+from grzlab import modal
 from grzlab.modal import (
     MODES,
     Homomorphism,
+    ModalAlgebra,
+    _on_blocks,
     all_modal_subalgebras,
     are_isomorphic,
     blok_characterization,
     complex_algebra,
+    generated_subalgebra,
     hom_search,
     make_standard,
     modal_product,
@@ -114,6 +118,48 @@ def test_one_generated_search_matches_the_partition_scan():
             got = blok_characterization(X)
             assert got.is_grz == partition_scan_is_grz(X) == validate_modal(X).grz
             assert got.is_grz == (got.witness is None)
+
+
+def searched_standard_in_one_generated(M):
+    """Every ⟨a⟩, every open union of 2 or 3 of its blocks, by isomorphism search."""
+    seen = set()
+    for a in range(M.size):
+        sub = generated_subalgebra(M, [a], "modal")
+        if sub.blocks in seen:
+            continue
+        seen.add(sub.blocks)
+        for std in (S2, S12):
+            for part in itertools.combinations(sub.blocks, std.atoms):
+                if M.is_open(sum(part)) and are_isomorphic(_on_blocks(M, part), std):
+                    return True
+    return False
+
+
+def random_preorder_algebra(rng, n):
+    """box(S) = the points whose successors all lie in S, for a seeded preorder."""
+    rel = np.eye(n, dtype=bool) | (np.array([[rng.random() for _ in range(n)] for _ in range(n)]) < 0.25)
+    for k in range(n):
+        rel |= rel[:, [k]] & rel[[k], :]
+    masks = np.arange(1 << n, dtype=np.int64)
+    box = np.zeros(1 << n, dtype=np.int64)
+    for x in range(n):
+        succ = sum(1 << int(y) for y in np.flatnonzero(rel[x]))
+        box[(masks & succ) == succ] |= 1 << x
+    return ModalAlgebra(n, box)
+
+
+def test_block_tables_match_the_isomorphism_search():
+    # Poset algebras are Grz; the preorders' clusters and the products give
+    # S2 and S12 quotients whose blocks come in every order.
+    algebras = []
+    for M in interior_catalog(4).members:
+        algebras += [M, modal_product([M, S2]), modal_product([M, S12])]
+    rng = random.Random(SEED)
+    algebras += [complex_algebra(random_poset(rng, n)) for n in range(5, 10) for _ in range(3)]
+    algebras += [random_preorder_algebra(rng, n) for n in range(3, 8) for _ in range(6)]
+    found = [searched_standard_in_one_generated(M) for M in algebras]
+    assert [modal._standard_in_one_generated(M) for M in algebras] == found
+    assert any(found) and not all(found)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import grzlab
+from grzlab import catalog as catalog_mod
 from grzlab import cli
 from grzlab.cli import main
 from grzlab.finlat import chain_heyting, chain_poset, antichain_poset
@@ -269,6 +270,9 @@ def test_admissible_certificate_bytes(capsys):
     assert hashlib.sha1(out.encode()).hexdigest() == "ab6859198da689f068c06e4071eb40f987d7d045"
 
 
+NINE_4_CHAINS = "nine-4-chains.json"
+
+
 def verb_flags(verb):
     """The option strings the verb's parser accepts."""
     parser = cli._build_parser()
@@ -286,9 +290,13 @@ def verb_flags(verb):
         ("completeness-report", "--heyting", "5", "--k", "2", "--coord-cap", "200"),
         ("completeness-report", "--heyting", "3", "--k", "1", "--element-cap", "2000000"),
         ("completeness-report", "--heyting", "3", "--k", "1", "--max-vars", "3"),
+        # The Boolean extensions of nine 4-chains give 72 coordinates at k = 1.
+        ("sigma-free", "--input", NINE_4_CHAINS, "--k", "1"),
     ],
 )
-def test_refusals_name_flags_their_verb_takes(capsys, argv):
+def test_refusals_name_flags_their_verb_takes(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    catalog_mod.save(NINE_4_CHAINS, {f"c{i}": chain_heyting(4) for i in range(9)})
     code, _, err = run(capsys, *argv)
     named = set(re.findall(r"--[a-z][a-z-]*", err))
     assert code == 3 and named
@@ -425,6 +433,18 @@ def test_sigma_free(capsys):
     assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
     code, _, _ = run(capsys, "sigma-free", "--heyting", "5", "--k", "1")
     assert code == 3
+
+
+def test_sigma_free_takes_the_free_algebra_caps(capsys, tmp_path):
+    # Nine 4-chains: 36 coordinates for F_K(1), 72 for F_sigmaK(1).
+    path = str(tmp_path / NINE_4_CHAINS)
+    catalog_mod.save(path, {f"c{i}": chain_heyting(4) for i in range(9)})
+    code, _, err = run(capsys, "sigma-free", "--input", path, "--k", "1")
+    assert code == 3 and "needs 72 coordinates, cap is 64 (COORD_CAP" in err
+    code, doc, _ = run_json(capsys, "sigma-free", "--input", path, "--k", "1", "--coord-cap", "72")
+    assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
+    code, _, err = run(capsys, "sigma-free", "--input", path, "--k", "1", "--coord-cap", "72", "--element-cap", "10")
+    assert code == 3 and "exceeds 10 elements (ELEMENT_CAP" in err
 
 
 def test_enumerate(capsys, tmp_path):

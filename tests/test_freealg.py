@@ -357,6 +357,22 @@ def test_completeness_report_over_a_rule_space_checks_the_failing_member(monkeyp
         completeness_report_k(goedel_catalog(), rules, 0)
 
 
+def test_completeness_report_over_a_list_checks_the_failing_member(monkeypatch):
+    # The same disagreement on the list path, where the failure matrix comes
+    # from one batched scan: moved to the two-chain there, each violation
+    # still fails on the three-chain in a scan of its own.
+    candidates = [translate(r) for r in enumerate_rules("heyting", 1, 0, 2)]
+    scan = freealg.refutations
+
+    def batched_on_the_two_chain(owner, sents):
+        for s, i, t in scan(owner, sents):
+            yield s, 0 if len(sents) > 1 else i, t
+
+    monkeypatch.setattr(freealg, "refutations", batched_on_the_two_chain)
+    with pytest.raises(InternalCheckError, match="first fails on member 1 in a scan, but on member 0 by the batched scan"):
+        completeness_report_k(goedel_catalog(), candidates, 0)
+
+
 def test_completeness_report_over_a_rule_space_refuses_where_the_list_does(monkeypatch):
     # A Heyting pool on an interior catalog is refused as the list of its
     # sentences is.  A member past EVAL_CAP at the pool's four variables

@@ -1,6 +1,9 @@
 """Kernel-level checks: least witnesses of the numpy scans."""
 
+import random
+
 import numpy as np
+import pytest
 
 import grzlab
 from grzlab import kernels
@@ -23,6 +26,47 @@ def test_k_axiom_witness_clean_and_dirty():
     assert w >= 0
     a, b = divmod(int(w), s12.size)
     assert int(bad[a & b]) != int(bad[a]) & int(bad[b])
+
+
+def brute_k_witness(box):
+    """The least (a, b) breaking box(a & b) = box(a) & box(b), one pair at a time."""
+    size = len(box)
+    for a in range(size):
+        for b in range(size):
+            if box[a & b] != box[a] & box[b]:
+                return a * size + b
+    return -1
+
+
+def random_k_table(rng, n):
+    """box(S) = the points all of whose successors lie in S, for a random relation: K."""
+    succ = [sum(1 << y for y in range(n) if rng.random() < 0.3) for _ in range(n)]
+    return [sum(1 << x for x in range(n) if s & succ[x] == succ[x]) for s in range(1 << n)]
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_k_axiom_witness_is_the_least_pair(monkeypatch, rows):
+    # One row per block, three rows (which divide no row count past 2), and
+    # the default block; a changed entry x moves the least witness to about
+    # row x, so witnesses fall at the first and last rows of blocks.
+    rng = random.Random(20261022)
+    tables = []
+    for n in range(10):
+        for _ in range(2 if n < 9 else 1):
+            box = random_k_table(rng, n)
+            tables.append(box)
+            for _ in range(4):
+                bad = list(box)
+                bad[rng.randrange(1 << n)] = rng.randrange(1 << n)
+                tables.append(bad)
+    witness_rows = set()
+    for box in tables:
+        if rows is not None:
+            monkeypatch.setattr(kernels, "K_BLOCK_CELLS", rows * len(box))
+        want = brute_k_witness(box)
+        assert kernels.k_axiom_witness(np.array(box)) == want
+        witness_rows.add(want // len(box) if want >= 0 else -1)
+    assert -1 in witness_rows and {0, 1, 2, 3, 5, 6} <= witness_rows
 
 
 def test_residuation_witness_on_chains():

