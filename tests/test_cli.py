@@ -422,7 +422,7 @@ def test_internal_check_failure_exits_4(capsys, tmp_path, monkeypatch):
     assert "internal check failed" in err and "planted certificate failure" in err
 
 
-def test_sigma_free(capsys):
+def test_sigma_free(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "2", "--k", "1")
     assert code == 0
     assert doc["embedding"]["injective"]
@@ -433,14 +433,14 @@ def test_sigma_free(capsys):
     assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
     code, _, _ = run(capsys, "sigma-free", "--heyting", "5", "--k", "1")
     assert code == 3
-
-
-def test_sigma_free_takes_the_free_algebra_caps(capsys, tmp_path):
-    # Nine 4-chains: 36 coordinates for F_K(1), 72 for F_sigmaK(1).
+    # Nine 4-chains: 36 coordinates for F_K(1), 72 for F_sigmaK(1); both
+    # free algebras take the caps.
     path = str(tmp_path / NINE_4_CHAINS)
     catalog_mod.save(path, {f"c{i}": chain_heyting(4) for i in range(9)})
     code, _, err = run(capsys, "sigma-free", "--input", path, "--k", "1")
     assert code == 3 and "needs 72 coordinates, cap is 64 (COORD_CAP" in err
+    code, _, err = run(capsys, "sigma-free", "--input", path, "--k", "1", "--coord-cap", "30")
+    assert code == 3 and "needs 36 coordinates, cap is 30 (COORD_CAP" in err
     code, doc, _ = run_json(capsys, "sigma-free", "--input", path, "--k", "1", "--coord-cap", "72")
     assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
     code, _, err = run(capsys, "sigma-free", "--input", path, "--k", "1", "--coord-cap", "72", "--element-cap", "10")

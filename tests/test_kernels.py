@@ -46,9 +46,10 @@ def random_k_table(rng, n):
 
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_k_axiom_witness_is_the_least_pair(monkeypatch, rows):
-    # One row per block, three rows (which divide no row count past 2), and
-    # the default block; a changed entry x moves the least witness to about
-    # row x, so witnesses fall at the first and last rows of blocks.
+    # One row per block, three rows (which divide no row count: sizes are
+    # powers of two) and the default block; a changed entry x moves the
+    # least witness to about row x, so witnesses fall at the first and last
+    # rows of blocks.
     rng = random.Random(20261022)
     tables = []
     for n in range(10):
