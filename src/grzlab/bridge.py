@@ -352,7 +352,7 @@ def sigma_catalog(K: AlgebraCatalog) -> AlgebraCatalog:
     """Member-wise boolean extension of a Heyting catalog."""
     if K.kind != "heyting":
         raise InputError("sigma expects a Heyting catalog")
-    members = tuple(boolean_extension(H)[0] for H in K.members)
+    members = tuple(derived(H, _boolean_extension)[0] for H in K.members)
     return AlgebraCatalog("modal", members, f"sigma({K.name})")
 
 

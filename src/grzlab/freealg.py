@@ -48,12 +48,9 @@ COORD_CAP = 64
 # many bytes; the same bound holds for modal catalogs.
 TABLE_BYTES = 1 << 30
 
-# Fixed bounds, raised by no flag: verify_ump takes members of at most
-# UMP_MEMBER_CAP elements, and sigma_free_checks takes k <= SIGMA_K_CAP and
-# members of at most SIGMA_SIZE_CAP elements.
+# A fixed bound, raised by no flag: verify_ump takes members of at most
+# UMP_MEMBER_CAP elements.
 UMP_MEMBER_CAP = 4
-SIGMA_K_CAP = 1
-SIGMA_SIZE_CAP = 4
 
 
 @dataclass
@@ -422,14 +419,6 @@ def sigma_free_checks(
     """
     if K.kind != "heyting":
         raise InputError("sigma_free_checks expects a Heyting catalog")
-    if k > SIGMA_K_CAP:
-        raise CapExceeded(
-            f"generator bound {k} exceeds the cap {SIGMA_K_CAP} (SIGMA_K_CAP); no flag raises it"
-        )
-    if any(A.size > SIGMA_SIZE_CAP for A in K.members):
-        raise CapExceeded(
-            f"members must have at most {SIGMA_SIZE_CAP} elements (SIGMA_SIZE_CAP); no flag raises it"
-        )
 
     free = free_algebra(K, k, coord_cap, element_cap)
     free_sigma = free_algebra(sigma_catalog(K), k, coord_cap, element_cap)

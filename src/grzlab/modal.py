@@ -335,69 +335,55 @@ def subalgebra_from_elements(alg: ModalAlgebra, elems) -> BooleanSubalgebra:
 def generated_subalgebra(alg: ModalAlgebra, seeds, kind: str = "boolean") -> BooleanSubalgebra:
     """Least Boolean (or box-closed) subalgebra containing the seeds.
 
-    Works on the atom partition: atoms are merged when no generator
-    separates them, and for kind="modal" the box values of the current
-    closure are fed back in until the partition stabilizes.
+    One atom partition, refined: it starts as the single block top, and
+    each generator splits the blocks it cuts.  For kind="modal" each round
+    then splits by the boxes of the current coatoms top ^ b, one per block,
+    until a round splits no block.  That suffices under K: every element is
+    the meet of the coatoms above it, and box preserves meets and top.  So
+    kind="modal" refuses an algebra that fails K.
     """
     if kind not in ("boolean", "modal"):
         raise InputError("kind must be 'boolean' or 'modal'")
-    gens = sorted(set(int(s) for s in seeds))
+    gens = [int(s) for s in seeds]
     for s in gens:
         if not 0 <= s <= alg.top:
             raise InputError(f"seed {s} outside the carrier")
-    while True:
-        sub = _partition_subalgebra(alg, gens)
-        if kind == "boolean":
-            return sub
-        boxes = sorted({int(alg.box[e]) for e in sub.elements})
-        if all(sub.contains(b) for b in boxes):
-            return sub
-        gens = sorted(set(gens) | set(boxes))
+    if kind == "modal" and not derived(alg, _validate_modal).k:
+        raise InputError("the modal closure needs the K axiom, which the algebra fails")
+    blocks = [alg.top] if alg.atoms else []
+    for g in gens:
+        blocks = _split(blocks, g)
+    if kind == "modal":
+        while True:
+            refined = blocks
+            for b in blocks:
+                refined = _split(refined, int(alg.box[alg.top ^ b]))
+            if len(refined) == len(blocks):
+                break
+            blocks = refined
+    return BooleanSubalgebra(alg, tuple(blocks))
 
 
-def _partition_subalgebra(alg: ModalAlgebra, gens: list[int]) -> BooleanSubalgebra:
-    if alg.atoms == 0:
-        return BooleanSubalgebra(alg, ())
-    sigs: dict[tuple[int, ...], int] = {}
-    masks = []
-    for i in range(alg.atoms):
-        sig = tuple((g >> i) & 1 for g in gens)
-        if sig in sigs:
-            masks[sigs[sig]] |= 1 << i
-        else:
-            sigs[sig] = len(masks)
-            masks.append(1 << i)
-    return BooleanSubalgebra(alg, tuple(masks))
-
-
-def set_partitions(n: int):
-    """Partitions of range(n) as restricted-growth strings, lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i: int, maxcode: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for c in range(maxcode + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(maxcode, c))
-
-    yield from rec(1, 0)
+def _split(blocks: list[int], g: int) -> list[int]:
+    """Each block split into its parts inside and outside g, where g cuts it."""
+    return [p for b in blocks for p in (b & g, b & ~g) if p]
 
 
 def all_boolean_subalgebras(alg: ModalAlgebra) -> list[BooleanSubalgebra]:
-    """Every Boolean subalgebra, one per atom partition, deterministic order."""
-    out = []
-    for rgs in set_partitions(alg.atoms):
-        nblocks = (max(rgs) + 1) if rgs else 0
-        masks = [0] * nblocks
-        for i, c in enumerate(rgs):
-            masks[c] |= 1 << i
-        out.append(BooleanSubalgebra(alg, tuple(masks)))
-    return out
+    """Every Boolean subalgebra, one per atom partition, deterministic order.
+
+    The partitions grow an atom at a time: each atom joins each existing
+    block in turn, then opens a new one.
+    """
+    parts = [()]
+    for i in range(alg.atoms):
+        bit = 1 << i
+        grown = []
+        for p in parts:
+            grown += [p[:j] + (p[j] | bit,) + p[j + 1:] for j in range(len(p))]
+            grown.append(p + (bit,))
+        parts = grown
+    return [BooleanSubalgebra(alg, p) for p in parts]
 
 
 def all_modal_subalgebras(alg: ModalAlgebra) -> list[BooleanSubalgebra]:

@@ -32,6 +32,7 @@ from grzlab.finlat import FinitePoset, chain_poset, heyting_hom_search
 from grzlab import modal
 from grzlab.modal import (
     MODES,
+    BooleanSubalgebra,
     Homomorphism,
     ModalAlgebra,
     _on_blocks,
@@ -160,6 +161,50 @@ def test_block_tables_match_the_isomorphism_search():
     found = [searched_standard_in_one_generated(M) for M in algebras]
     assert [modal._standard_in_one_generated(M) for M in algebras] == found
     assert any(found) and not all(found)
+
+
+# ---------------------------------------------------------------------------
+# Generated subalgebras
+
+
+def whole_list_generated_subalgebra(M, seeds, kind):
+    """Atoms share a block when every generator has the same bit at both;
+    for kind="modal" the boxes of all elements join the generators until
+    none is new."""
+    gens = sorted(set(seeds))
+    while True:
+        masks = {}
+        for i in range(M.atoms):
+            sig = tuple((g >> i) & 1 for g in gens)
+            masks[sig] = masks.get(sig, 0) | 1 << i
+        sub = BooleanSubalgebra(M, tuple(masks.values()))
+        if kind == "boolean":
+            return sub
+        boxes = {int(M.box[e]) for e in sub.elements}
+        if all(sub.contains(b) for b in boxes):
+            return sub
+        gens = sorted(set(gens) | boxes)
+
+
+def test_coatom_refinement_matches_the_whole_list_closure():
+    algebras = []
+    for M in interior_catalog(4).members:
+        algebras += [M, modal_product([M, S2]), modal_product([M, S12])]
+    rng = random.Random(SEED)
+    algebras += [complex_algebra(random_poset(rng, n)) for n in range(5, 13)]
+    algebras += [random_preorder_algebra(rng, n) for n in range(3, 9) for _ in range(3)]
+    for M in algebras:
+        seeds = [[a] for a in range(M.size)]
+        seeds += [[rng.randrange(M.size), rng.randrange(M.size)] for _ in range(20)]
+        # Up to 4 atoms, also the member of fewest blocks that holds the seeds.
+        least = sorted(all_modal_subalgebras(M), key=lambda sub: len(sub.blocks)) if M.atoms <= 4 else None
+        for gens in seeds:
+            for kind in ("boolean", "modal"):
+                want = whole_list_generated_subalgebra(M, gens, kind)
+                assert generated_subalgebra(M, gens, kind).blocks == want.blocks
+            assert want.box_closed
+            if least:
+                assert want.blocks == next(s for s in least if all(s.contains(g) for g in gens)).blocks
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from grzlab.modal import (
     modal_product,
     open_filters,
     quotient,
-    set_partitions,
     stable_witness_construct,
     subalgebra_as_algebra,
     subalgebra_from_elements,
@@ -130,8 +129,30 @@ def test_subalgebra_elements_and_counts():
     assert [s.blocks for s in subs] == [(3,), (1, 2)]
     assert subs[0].elements == (0, 3)
     assert len(all_modal_subalgebras(s2)) == 2
-    assert len(list(set_partitions(3))) == 5
-    assert list(set_partitions(0)) == [()]
+
+
+def restricted_growth_blocks(n):
+    """Atom partitions as block masks, by their restricted-growth strings
+    (atom i in block c, c at most one more than the codes before it) in
+    lexicographic order."""
+    strings = [()]
+    for _ in range(n):
+        strings = [r + (c,) for r in strings for c in range(max(r, default=-1) + 2)]
+    out = []
+    for r in sorted(strings):
+        masks = [0] * (max(r) + 1 if r else 0)
+        for i, c in enumerate(r):
+            masks[c] |= 1 << i
+        out.append(tuple(sorted(masks)))
+    return out
+
+
+def test_all_boolean_subalgebras_in_restricted_growth_order():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    for n, count in enumerate(bell):
+        subs = all_boolean_subalgebras(complex_algebra(antichain_poset(n)))
+        assert [s.blocks for s in subs] == restricted_growth_blocks(n)
+        assert len(subs) == count
 
 
 def test_generated_subalgebra_modal_closure():
@@ -144,6 +165,15 @@ def test_generated_subalgebra_modal_closure():
     assert subalgebra_from_elements(s12, [0, 2, 5, 7]).blocks == (2, 5)
     with pytest.raises(InputError):
         subalgebra_from_elements(s12, [0, 5, 7])
+
+
+def test_modal_closure_refuses_a_table_that_fails_k():
+    # Closing through the coatoms is sound only under K.
+    bad = coatoms_to_top(3)
+    assert not validate_modal(bad).k
+    with pytest.raises(InputError, match="K axiom"):
+        generated_subalgebra(bad, [1], "modal")
+    assert generated_subalgebra(bad, [1], "boolean").blocks == (1, 6)
 
 
 def test_subalgebra_as_algebra():
