@@ -431,7 +431,7 @@ def test_sigma_free(capsys, tmp_path):
     # in Q(K) apart from F_sigmaK in Q(B(F_K)), which fails there.
     code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "4", "--k", "1")
     assert code == 0 and doc["free_sigma_opens_in_quasivariety"]["holds"]
-    # No fixed bound refuses heyting_catalog(5) at k = 1 (0.5-0.7 s cold).
+    # No fixed bound refuses heyting_catalog(5) at k = 1.
     start = time.perf_counter()
     code, doc, _ = run_json(capsys, "sigma-free", "--heyting", "5", "--k", "1")
     assert time.perf_counter() - start < 3.0
